@@ -1,7 +1,11 @@
-"""Laplace-domain system M(s) = s I - Q: assembly, block solve, stationary vector.
+"""Laplace-domain system M(s) = s I - Q: assembly, sparse LU solve, stationary vector.
 
-Under the linear state ordering, M(s) is block tridiagonal with c + 1 square
-blocks of width N - c + 1:
+The transformed state probabilities p*(s) = p0 (s I - Q)^(-1) solve the
+row-vector system x M(s) = p0, that is M(s)^T x^T = p0^T.  M(s) is kept as
+one CSR matrix and M(s)^T is factored by a sparse LU (SuperLU) on the first
+solve; the factorization is cached, so repeated solves at the same s are
+cheap.  Under the linear state ordering M(s) is block tridiagonal with c + 1
+square blocks of width N - c + 1:
 
         [ A_0  B_0              ]
         [ C_1  A_1  B_1         ]
@@ -11,9 +15,15 @@ blocks of width N - c + 1:
 
 A_i is diagonal for i < c and upper bidiagonal for i = c (orbit arrivals);
 B_i is lower bidiagonal (arrivals on the diagonal, retrials below);
-C_i is diagonal (recoveries).  The row-vector system x M = p0 is solved as
-M^T x^T = p0^T by a block Thomas sweep whose factorization is cached, so
-repeated solves at the same s are cheap.
+C_i is diagonal (recoveries).
+
+Iterative refinement and the resolvent residual check run in longdouble,
+against Q with its diagonal recomputed as minus the off-diagonal row sums:
+near s = 0 the solution has size 1/s, and a double-precision residual there
+is one rounding step, not a measurement.  The stationary vector solves the
+same kind of sparse system, pi Q = 0 with one balance equation replaced by
+sum(pi) = 1, after a structural check that the chain has exactly one closed
+class.
 """
 
 from __future__ import annotations
@@ -22,7 +32,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .errors import DomainError, ModelError, NumericalError
 from .generator import GeneratorMatrix
@@ -32,24 +44,44 @@ from .transient import ProbabilityVector, Provenance
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
+def _sparse_lu(a: sparse.spmatrix, what: str):
+    """Sparse LU of A, for solves A x = b; an exactly singular pivot is a NumericalError."""
+    try:
+        return splu(sparse.csc_matrix(a))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"singular pivot in {what}: {exc}") from exc
+
+
+def _extended_generator(q: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Q in longdouble, its diagonal recomputed as minus the off-diagonal row sums.
+
+    The stored double diagonal is the rounded negated row sum, so the stored
+    rows miss zero by an ulp of the exit rate; at s = 1e-6 that alone moves
+    s * sum(x) off 1 by about 1e-10.
+    """
+    q_ext = q.astype(np.longdouble)
+    off = q_ext - sparse.diags(q_ext.diagonal())
+    exit_rates = off @ np.ones(q.shape[0], dtype=np.longdouble)
+    return (off - sparse.diags(exit_rates)).tocsr()
+
+
 @dataclass(eq=False)
 class ResolventSystem:
-    """M(s) = s I - Q in block-tridiagonal form, with a lazy solve cache.
+    """M(s) = s I - Q in CSR form, with a lazily cached sparse LU of M(s)^T.
 
     ``s_extended`` keeps the abscissa to extended precision: the refinement
     path must target s I - Q at the exact s, not its double rounding, or the
     near-total cancellation in the inversion weights exposes the difference.
+    ``q_extended`` is Q in longdouble with its diagonal recomputed, the
+    operator that refinement and the residual check measure against.
     """
 
     s: float
     space: StateSpace
-    diag_blocks: list[np.ndarray]   # A_0 .. A_c of M(s)
-    super_blocks: list[np.ndarray]  # B_0 .. B_{c-1}
-    sub_blocks: list[np.ndarray]    # C_1 .. C_c
+    matrix: sparse.csr_matrix       # M(s) at the double rounding of s
+    q_extended: sparse.csr_matrix
     s_extended: np.longdouble = None
-    q_diag_blocks: list[np.ndarray] | None = None  # exact diagonal blocks of Q
-    _sweep: list | None = field(default=None, repr=False)
-    _q_blocks_ext: tuple | None = field(default=None, repr=False)
+    _lu: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.s_extended is None:
@@ -57,115 +89,22 @@ class ResolventSystem:
 
     @property
     def dim(self) -> int:
-        return self.space.size
+        return self.matrix.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        """Reassemble the blocks into the full matrix (exact by construction)."""
-        w = self.space.width
-        m = np.zeros((self.dim, self.dim))
-        for i, a in enumerate(self.diag_blocks):
-            m[i * w:(i + 1) * w, i * w:(i + 1) * w] = a
-        for i, b in enumerate(self.super_blocks):
-            m[i * w:(i + 1) * w, (i + 1) * w:(i + 2) * w] = b
-        for i, c in enumerate(self.sub_blocks, start=1):
-            m[i * w:(i + 1) * w, (i - 1) * w:i * w] = c
-        return m
-
-    # --- block Thomas sweep on M^T ------------------------------------------
-    # M^T has diagonal blocks A_i^T, sub-diagonal B_{i-1}^T, super-diagonal
-    # C_{i+1}^T.  The forward sweep factors Dt_i = A_i^T - W_i C_i^T with
-    # W_i = B_{i-1}^T Dt_{i-1}^{-1}; both are kept for reuse.
-
-    def _factorize(self):
-        if self._sweep is not None:
-            return self._sweep
-        sweep = []
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", LinAlgWarning)
-                dt = self.diag_blocks[0].T
-                lu = lu_factor(dt)
-                sweep.append((lu, None))
-                for i in range(1, len(self.diag_blocks)):
-                    upper = self.sub_blocks[i - 1].T    # C_i^T, super-diagonal of M^T
-                    lower = self.super_blocks[i - 1].T  # B_{i-1}^T, sub-diagonal of M^T
-                    prev_lu = sweep[i - 1][0]
-                    w = lu_solve(prev_lu, lower.T, trans=1).T
-                    dt = self.diag_blocks[i].T - w @ upper
-                    lu = lu_factor(dt)
-                    sweep.append((lu, w))
-        except (np.linalg.LinAlgError, LinAlgWarning) as exc:
-            raise NumericalError(f"singular block pivot at s={self.s}: {exc}") from exc
-        for lu, _ in sweep:
-            if not np.isfinite(lu[0]).all() or np.abs(np.diag(lu[0])).min() == 0.0:
-                raise NumericalError(f"singular block pivot at s={self.s}")
-        self._sweep = sweep
-        return sweep
+        """M(s) as a dense array (equal to s I - Q entry by entry)."""
+        return self.matrix.toarray()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve x M = rhs for a row vector x (double precision)."""
-        w = self.space.width
-        n_blocks = len(self.diag_blocks)
-        sweep = self._factorize()
-        b = np.asarray(rhs, dtype=float).reshape(n_blocks, w)
-
-        bt = [b[0]]
-        for i in range(1, n_blocks):
-            bt.append(b[i] - sweep[i][1] @ bt[i - 1])
-
-        x = np.empty((n_blocks, w))
-        x[-1] = lu_solve(sweep[-1][0], bt[-1])
-        for i in range(n_blocks - 2, -1, -1):
-            upper = self.sub_blocks[i].T  # C_{i+1}^T, super-diagonal of M^T
-            x[i] = lu_solve(sweep[i][0], bt[i] - upper @ x[i + 1])
-        return x.ravel()
-
-    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        """M^T x for a double-precision x, from the stored M blocks."""
-        w = self.space.width
-        n_blocks = len(self.diag_blocks)
-        xb = x.reshape(n_blocks, w)
-        out = np.empty_like(xb)
-        for i in range(n_blocks):
-            acc = self.diag_blocks[i].T @ xb[i]
-            if i >= 1:
-                acc = acc + self.super_blocks[i - 1].T @ xb[i - 1]
-            if i + 1 < n_blocks:
-                acc = acc + self.sub_blocks[i].T @ xb[i + 1]
-            out[i] = acc
-        return out.ravel()
-
-    def _extended_q_blocks(self):
-        # Off-diagonal M blocks are exact negations of the Q blocks; the
-        # diagonal Q blocks are kept from assembly because A_i = fl(s - q)
-        # rounds and cannot be inverted back exactly.
-        if self._q_blocks_ext is None:
-            ld = np.longdouble
-            if self.q_diag_blocks is not None:
-                diag = [q.astype(ld) for q in self.q_diag_blocks]
-            else:
-                eye = np.eye(self.space.width, dtype=ld)
-                diag = [ld(self.s) * eye - a.astype(ld) for a in self.diag_blocks]
-            sup = [-b.astype(ld) for b in self.super_blocks]
-            sub = [-c.astype(ld) for c in self.sub_blocks]
-            self._q_blocks_ext = (diag, sup, sub)
-        return self._q_blocks_ext
+        if self._lu is None:
+            self._lu = _sparse_lu(self.matrix.T, f"M(s) at s={self.s}")
+        return self._lu.solve(np.asarray(rhs, dtype=float))
 
     def apply_transpose_extended(self, x: np.ndarray) -> np.ndarray:
         """(s_extended I - Q)^T x in longdouble, with the exact abscissa."""
-        w = self.space.width
-        n_blocks = len(self.diag_blocks)
-        qdiag, qsup, qsub = self._extended_q_blocks()
-        xb = x.reshape(n_blocks, w)
-        out = np.empty_like(xb)
-        for i in range(n_blocks):
-            acc = qdiag[i].T @ xb[i]
-            if i >= 1:
-                acc = acc + qsup[i - 1].T @ xb[i - 1]
-            if i + 1 < n_blocks:
-                acc = acc + qsub[i].T @ xb[i + 1]
-            out[i] = self.s_extended * xb[i] - acc
-        return out.ravel()
+        x = np.asarray(x, dtype=np.longdouble)
+        return self.s_extended * x - self.q_extended.T @ x
 
     def solve_refined(self, rhs: np.ndarray, refine_steps: int = 2) -> np.ndarray:
         """Solve x M = rhs with iterative refinement; extended-precision result.
@@ -185,31 +124,19 @@ class ResolventSystem:
 
 
 def assemble_resolvent(gen: GeneratorMatrix, s) -> ResolventSystem:
-    """Partition s I - Q into its block-tridiagonal form.
+    """Form s I - Q as one sparse matrix.
 
-    ``s`` may be a longdouble; the blocks are built at its double rounding
+    ``s`` may be a longdouble; the matrix is built at its double rounding
     while the exact value is retained for refined solves.
     """
     if s <= 0:
         raise DomainError(f"Laplace variable s must be > 0, got {s}")
     if gen.space is None:
         raise ModelError("generator has no attached state space")
-    s_ext = np.longdouble(s)
     s64 = float(s)
-    space = gen.space
-    w = space.width
-    q = gen.matrix
-    eye_w = np.eye(w)
-
-    def q_block(bi, bj):
-        return q[bi * w:(bi + 1) * w, bj * w:(bj + 1) * w].toarray()
-
-    q_diag = [q_block(i, i) for i in range(space.c + 1)]
-    diag = [s64 * eye_w - qd for qd in q_diag]
-    sup = [-q_block(i, i + 1) for i in range(space.c)]
-    sub = [-q_block(i, i - 1) for i in range(1, space.c + 1)]
-    return ResolventSystem(s64, space, diag, sup, sub,
-                           s_extended=s_ext, q_diag_blocks=q_diag)
+    matrix = (sparse.identity(gen.dim, format="csr") * s64 - gen.matrix).tocsr()
+    return ResolventSystem(s64, gen.space, matrix, _extended_generator(gen.matrix),
+                           s_extended=np.longdouble(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,36 +154,60 @@ class LaplaceSolution:
 
 def solve_resolvent(system: ResolventSystem, p0: ProbabilityVector,
                     residual_tol: float = 1e-10) -> LaplaceSolution:
-    """Solve x M(s) = p0 by the cached block sweep and verify the residual."""
+    """Solve x M(s) = p0 with refinement and verify the residual in longdouble.
+
+    The check measures the refined solution; ``pstar`` is its double rounding.
+    """
     v = np.asarray(p0.values, dtype=float)
     if v.size != system.dim:
         raise DomainError(f"p0 has length {v.size}, system dimension is {system.dim}")
     if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
         raise DomainError("p0 must be a probability distribution")
-    x = system.solve(v)
-    residual = float(np.abs(system.apply_transpose(x) - v).max())
-    if residual > residual_tol:
+    x = system.solve_refined(v)
+    residual = float(np.abs(system.apply_transpose_extended(x) - v).max())
+    if not residual <= residual_tol:
         raise NumericalError(
             f"resolvent solve residual {residual:.3e} exceeds {residual_tol:.1e} at s={system.s}"
         )
-    return LaplaceSolution(system.s, x, system.space)
+    return LaplaceSolution(system.s, x.astype(float), system.space)
+
+
+def _closed_classes(q: sparse.csr_matrix) -> int:
+    """Number of closed communicating classes of the transition graph of Q."""
+    n_classes, labels = connected_components(q, directed=True, connection="strong")
+    rows, cols = q.nonzero()
+    leaving = labels[rows] != labels[cols]
+    has_exit = np.zeros(n_classes, dtype=bool)
+    has_exit[labels[rows[leaving]]] = True
+    return int(n_classes - has_exit.sum())
 
 
 def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
-    """Stationary vector as the normalized left null vector of Q."""
-    ns = null_space(gen.toarray().T)
-    if ns.shape[1] == 0:
-        raise ModelError("no null vector found; generator is not conservative")
-    if ns.shape[1] > 1:
-        raise ModelError(
-            f"chain is reducible: left nullspace has dimension {ns.shape[1]}"
-        )
-    pi = ns[:, 0]
-    pi = pi * np.sign(pi.sum())
+    """Stationary vector: the normalized left null vector of Q, by sparse LU.
+
+    Solves pi Q = 0 with the last balance equation replaced by sum(pi) = 1.
+    That system is nonsingular exactly when Q is conservative and the chain
+    has one closed class (transient states allowed).  Both are checked
+    exactly first, because an LU notices a second closed class only if a
+    pivot happens to come out exactly zero.
+    """
+    q = gen.matrix
+    scale = max(1.0, float(np.abs(q.diagonal()).max(initial=0.0)))
+    if np.abs(gen.row_sums()).max(initial=0.0) > 1e-12 * scale:
+        raise ModelError("generator is not conservative: row sums are not zero")
+    closed = _closed_classes(q)
+    if closed != 1:
+        raise ModelError(f"chain is reducible: {closed} closed classes")
+    balance = q.T.tocsr()
+    normalization = sparse.csr_matrix(np.ones((1, gen.dim)))
+    system = sparse.vstack([balance[:-1], normalization])
+    rhs = np.zeros(gen.dim)
+    rhs[-1] = 1.0
+    pi = _sparse_lu(system, "the stationary system").solve(rhs)
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    residual = float(np.abs(pi @ gen.matrix.toarray()).max())
-    if residual > 1e-10:
+    residual = float(np.abs(q.T @ pi).max())
+    if not residual <= 1e-10:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds 1e-10")
     return ProbabilityVector(pi, np.inf, Provenance.STATIONARY, gen.space)
 

@@ -85,7 +85,7 @@ def test_criterion_resolvent_correctness():
             worst_mass = max(worst_mass, abs(s * sol.total - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst_entry <= 1e-10 and worst_mass <= 1e-10 and elapsed < 5.0
-    _line(ok, "resolvent block solve vs dense LU",
+    _line(ok, "resolvent sparse-LU solve vs dense LU",
           f"entry {worst_entry:.2e} <= 1e-10, mass {worst_mass:.2e} <= 1e-10, {elapsed:.2f}s < 5s")
     assert ok
 

@@ -282,13 +282,21 @@ class TestOtherCommands:
         assert float(rows[-1][0]) == 9.0  # default homogeneous range
 
     def test_stationary(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["stationary", "--config", cfg, "--out", str(out)]) == 0
-        comments, header, rows = read_report(out / "stationary.csv")
-        assert header == ["i", "j", "probability"]
-        assert sum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-10)
-        assert any("fvt_max_diff" in c for c in comments)
+        # N=200, c=100 has 10,201 states, past the generator's dense-conversion limit
+        for N, c in [(10, 5), (200, 100)]:
+            cfg = tmp_path / f"scenario_{N}.yaml"
+            cfg.write_text(WELLMIXED_YAML.format(method="uniformization", outputs="moments")
+                           .replace("N: 10\n  c: 5\n", f"N: {N}\n  c: {c}\n"))
+            out = tmp_path / f"out_{N}"
+            assert main(["stationary", "--config", str(cfg), "--out", str(out)]) == 0
+            comments, header, rows = read_report(out / "stationary.csv")
+            assert header == ["i", "j", "probability"]
+            pi = np.array([float(r[2]) for r in rows])
+            assert pi.sum() == pytest.approx(1.0, abs=1e-10)
+            assert any("fvt_max_diff" in c for c in comments)
+            model = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=2.0)
+            gen = rs.build_generator(model, rs.rate_function(model))
+            assert np.abs(gen.matrix.T @ pi).max() <= 1e-10
 
     def test_simulate_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
