@@ -1,9 +1,10 @@
 """Config-driven scenario runner: wires the solvers together and emits CSV reports.
 
 Subcommands: solve, table, sweep, timeseries, stationary, simulate,
-validate-config.  Exit codes: 0 ok, 2 configuration error, 3 numerical
-accuracy error.  All reports are UTF-8, comma-separated CSV with LF line
-endings; rounded values use round-half-even.
+validate-config.  Exit codes: 0 ok, 2 configuration error (a malformed
+config value or an unwritable --out included), 3 numerical accuracy error.
+All reports are UTF-8, comma-separated CSV with LF line endings; rounded
+values use round-half-even.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import AccuracyError, ConfigError, DomainError, NumericalError
+from .errors import AccuracyError, ConfigError, DomainError, ModelError, NumericalError
 from .generator import build_generator
 from .inversion import DEFAULT_CHAIN_ORDER, transient_via_ilt
 from .laplace import stationary_fvt, stationary_nullspace
@@ -43,6 +45,7 @@ from .transient import (
     delta_vector,
     monte_carlo_estimate,
     simulate_gillespie,
+    time_grid,
     transient_grid,
 )
 
@@ -96,29 +99,41 @@ class ScenarioConfig:
         return np.round(np.arange(0.0, stop + 1e-9, 0.5), 10)
 
 
+@contextmanager
+def _malformed(label):
+    """Report a value that fails to convert or validate as a ConfigError naming ``label``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _section(mapping, key):
+    section = mapping.get(key) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: must be a mapping")
+    return section
+
+
 def _parse_times(value, label):
+    """A list of times or a {start, stop, step} range, checked by :func:`time_grid`."""
     if value is None:
         return None
     if isinstance(value, dict):
         missing = {"start", "stop", "step"} - set(value)
         if missing:
             raise ConfigError(f"{label}: missing keys {sorted(missing)}")
-        start, stop, step = float(value["start"]), float(value["stop"]), float(value["step"])
+        with _malformed(label):
+            start, stop, step = float(value["start"]), float(value["stop"]), float(value["step"])
         if step <= 0:
             raise ConfigError(f"{label}.step: must be > 0, got {step}")
         if stop < start:
             raise ConfigError(f"{label}: stop {stop} precedes start {start}")
-        return np.round(np.arange(start, stop + step / 2.0, step), 12)
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            raise ConfigError(f"{label}: must not be empty")
-        grid = np.asarray([float(v) for v in value])
-        if np.any(grid < 0):
-            raise ConfigError(f"{label}: times must be nonnegative")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ConfigError(f"{label}: times must be strictly increasing")
-        return grid
-    raise ConfigError(f"{label}: expected a list or {{start, stop, step}}")
+        value = np.round(np.arange(start, stop + step / 2.0, step), 12)
+    elif not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{label}: expected a list or {{start, stop, step}}")
+    with _malformed(label):
+        return time_grid(value)
 
 
 def load_scenario(path, method_override=None, seed_override=None) -> ScenarioConfig:
@@ -146,7 +161,7 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     if not isinstance(model_map, dict):
         raise ConfigError("model: required mapping is missing")
 
-    try:
+    with _malformed("model"):
         model = ModelConfig(
             N=int(model_map.get("N", 0)),
             c=int(model_map.get("c", 0)),
@@ -161,27 +176,24 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
             closure=str(model_map.get("closure", "mean_field")).lower(),
             initial_state=tuple(model_map.get("initial_state", (0, 0))),
         )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
 
     graph = None
     graph_path = mapping.get("graph_path")
     if model.mode is Mode.HETEROGENEOUS:
         if not graph_path:
             raise ConfigError("graph_path: required when mode is heterogeneous")
-        resolved = Path(base_dir) / graph_path
+        with _malformed("graph_path"):
+            resolved = Path(base_dir) / graph_path
         try:
             graph = load_graph(resolved.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"graph_path: cannot read {resolved}: {exc}") from exc
 
-    solver_map = mapping.get("solver") or {}
-    if not isinstance(solver_map, dict):
-        raise ConfigError("solver: must be a mapping")
+    solver_map = _section(mapping, "solver")
     method = str(method_override or solver_map.get("method", "ilt")).lower()
     if method not in METHODS:
         raise ConfigError(f"solver.method: must be one of {METHODS}, got {method!r}")
-    try:
+    with _malformed("solver"):
         solver = SolverSettings(
             method=method,
             order=int(solver_map.get("K", DEFAULT_CHAIN_ORDER)),
@@ -189,8 +201,6 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
             replicas=int(solver_map.get("replicas", 100_000)),
             seed=int(seed_override if seed_override is not None else solver_map.get("seed", 0)),
         )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
 
     times = _parse_times(mapping.get("times"), "times")
 
@@ -202,9 +212,16 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     if unknown:
         raise ConfigError(f"outputs: unknown kinds {unknown}; valid: {OUTPUT_KINDS}")
 
-    table_map = mapping.get("table") or {}
-    sweep_map = mapping.get("sweep") or {}
-    sweep_times = _parse_times(sweep_map.get("times"), "sweep.times")
+    table_map = _section(mapping, "table")
+    sweep_map = _section(mapping, "sweep")
+    with _malformed("table"):
+        table_n = tuple(int(n) for n in table_map.get("N", DEFAULT_TABLE_N))
+        table_c = tuple(int(c) for c in table_map.get("c", DEFAULT_TABLE_C))
+    table_times = _parse_times(table_map.get("times", DEFAULT_TABLE_TIMES), "table.times")
+    with _malformed("sweep.thetas"):
+        sweep_thetas = tuple(float(t) for t in sweep_map.get("thetas", DEFAULT_SWEEP_THETAS))
+    if any(th < 0 for th in sweep_thetas):
+        raise ConfigError("sweep.thetas: must be nonnegative")
 
     raw = {k: v for k, v in mapping.items()}
     raw.setdefault("solver", {})
@@ -217,11 +234,11 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         outputs=outputs,
         graph=graph,
         graph_path=graph_path,
-        table_n=tuple(int(n) for n in table_map.get("N", DEFAULT_TABLE_N)),
-        table_c=tuple(int(c) for c in table_map.get("c", DEFAULT_TABLE_C)),
-        table_times=tuple(float(t) for t in table_map.get("times", DEFAULT_TABLE_TIMES)),
-        sweep_thetas=tuple(float(t) for t in sweep_map.get("thetas", DEFAULT_SWEEP_THETAS)),
-        sweep_times=sweep_times,
+        table_n=table_n,
+        table_c=table_c,
+        table_times=tuple(table_times.tolist()),
+        sweep_thetas=sweep_thetas,
+        sweep_times=_parse_times(sweep_map.get("times"), "sweep.times"),
         raw=raw,
     )
 
@@ -277,14 +294,23 @@ def _metadata(scenario: ScenarioConfig, command: str) -> dict:
     return meta
 
 
-def _write_csv(path: Path, columns, rows, meta: dict | None, comments=()):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        if meta:
-            for key, value in meta.items():
+@contextmanager
+def _report_file(path: Path, meta: dict | None, comments=()):
+    """Open one report for writing, its ``# key: value`` header already written."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            for key, value in (meta or {}).items():
                 f.write(f"# {key}: {value}\n")
-        for line in comments:
-            f.write(f"# {line}\n")
+            for line in comments:
+                f.write(f"# {line}\n")
+            yield f
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path: Path, columns, rows, meta: dict | None, comments=()):
+    with _report_file(path, meta, comments) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
@@ -424,8 +450,6 @@ def _write_sweep(scenario, out_dir, meta):
             thetas.append(th)
     if dupes:
         print(f"warning: duplicate theta values deduplicated: {dupes}", file=sys.stderr)
-    if any(th < 0 for th in thetas):
-        raise ConfigError("sweep.thetas: must be nonnegative")
     times = scenario.sweep_times if scenario.sweep_times is not None else scenario.grid()
 
     paths = []
@@ -444,34 +468,48 @@ def _write_sweep(scenario, out_dir, meta):
     return paths
 
 
+def _write_trajectory(scenario, out_dir, meta):
+    horizon = float(scenario.grid().max())
+    if horizon <= 0:
+        raise ConfigError("times: simulation horizon must be positive")
+    trajectory = simulate_gillespie(
+        scenario.model, rate_function(scenario.model, scenario.graph),
+        horizon, scenario.solver.seed,
+    )
+    if meta is not None:
+        meta = {**meta, "rng": trajectory.rng}
+    path = out_dir / "trajectory.csv"
+    with _report_file(path, meta) as f:
+        trajectory.write_csv(f)
+    return [path]
+
+
+#: Reports written from the transient solution on the scenario's time grid.
+_SOLUTION_REPORTS = {"state_probs", "marginals", "moments", "timeseries_marginals",
+                     "timeseries_moments"}
+
+
 def run_scenario(scenario: ScenarioConfig, out_dir, no_metadata=False, command="solve"):
     """Produce every configured report; returns the list of files written."""
     out_dir = Path(out_dir)
     meta = None if no_metadata else _metadata(scenario, command)
-    grid = scenario.grid()
-    if grid.size == 0:
-        raise ConfigError("times: the time grid is empty")
-
-    needs_solution = {"state_probs", "marginals", "moments"} & set(scenario.outputs)
     sol = None
-    if needs_solution:
-        sol = _solve_grid(scenario.model, scenario.graph, scenario.solver, grid)
-
-    written = []
-    for kind in scenario.outputs:
-        if kind == "state_probs":
-            written += _write_state_probs(scenario, sol, out_dir, meta)
-        elif kind == "marginals":
-            written += _write_marginals(scenario, sol, out_dir, meta)
-        elif kind == "moments":
-            written += _write_moments(scenario, sol, out_dir, meta)
-        elif kind == "stationary":
-            written += _write_stationary(scenario, out_dir, meta)
-        elif kind == "table_grid":
-            written += _write_table(scenario, out_dir, meta)
-        elif kind == "theta_sweep":
-            written += _write_sweep(scenario, out_dir, meta)
-    return written
+    if _SOLUTION_REPORTS & set(scenario.outputs):
+        sol = _solve_grid(scenario.model, scenario.graph, scenario.solver, scenario.grid())
+    writers = {
+        "state_probs": lambda: _write_state_probs(scenario, sol, out_dir, meta),
+        "marginals": lambda: _write_marginals(scenario, sol, out_dir, meta),
+        "moments": lambda: _write_moments(scenario, sol, out_dir, meta),
+        "timeseries_marginals": lambda: _write_marginals(
+            scenario, sol, out_dir, meta, prefix="timeseries_marginals"),
+        "timeseries_moments": lambda: _write_moments(
+            scenario, sol, out_dir, meta, name="timeseries_moments.csv"),
+        "stationary": lambda: _write_stationary(scenario, out_dir, meta),
+        "table_grid": lambda: _write_table(scenario, out_dir, meta),
+        "theta_sweep": lambda: _write_sweep(scenario, out_dir, meta),
+        "trajectory": lambda: _write_trajectory(scenario, out_dir, meta),
+    }
+    return [path for kind in scenario.outputs for path in writers[kind]()]
 
 
 # --- command handlers --------------------------------------------------------
@@ -481,73 +519,18 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return load_scenario(args.config, method_override=args.method, seed_override=args.seed)
 
 
-def _cmd_solve(args):
+def _cmd_report(args):
+    """Body of every report subcommand: write its reports, then list the files.
+
+    ``solve`` writes the configured outputs; every other subcommand writes its
+    own reports in their place.
+    """
     scenario = _scenario_from_args(args)
-    for path in run_scenario(scenario, args.out, args.no_metadata, command="solve"):
+    reports = (f"timeseries_{args.kind}",) if args.command == "timeseries" else args.reports
+    if reports:
+        scenario = dataclasses.replace(scenario, outputs=reports)
+    for path in run_scenario(scenario, args.out, args.no_metadata, command=args.command):
         print(path)
-    return EXIT_OK
-
-
-def _cmd_table(args):
-    scenario = _scenario_from_args(args)
-    meta = None if args.no_metadata else _metadata(scenario, "table")
-    for path in _write_table(scenario, Path(args.out), meta):
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_sweep(args):
-    scenario = _scenario_from_args(args)
-    meta = None if args.no_metadata else _metadata(scenario, "sweep")
-    for path in _write_sweep(scenario, Path(args.out), meta):
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_timeseries(args):
-    scenario = _scenario_from_args(args)
-    meta = None if args.no_metadata else _metadata(scenario, "timeseries")
-    grid = scenario.grid()
-    if grid.size == 0:
-        raise ConfigError("times: the time grid is empty")
-    sol = _solve_grid(scenario.model, scenario.graph, scenario.solver, grid)
-    out = Path(args.out)
-    if args.kind == "marginals":
-        paths = _write_marginals(scenario, sol, out, meta, prefix="timeseries_marginals")
-    else:
-        paths = _write_moments(scenario, sol, out, meta, name="timeseries_moments.csv")
-    for path in paths:
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_stationary(args):
-    scenario = _scenario_from_args(args)
-    meta = None if args.no_metadata else _metadata(scenario, "stationary")
-    for path in _write_stationary(scenario, Path(args.out), meta):
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_simulate(args):
-    scenario = _scenario_from_args(args)
-    horizon = float(scenario.grid().max())
-    if horizon <= 0:
-        raise ConfigError("times: simulation horizon must be positive")
-    trajectory = simulate_gillespie(
-        scenario.model, rate_function(scenario.model, scenario.graph),
-        horizon, scenario.solver.seed,
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "trajectory.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if not args.no_metadata:
-            for key, value in _metadata(scenario, "simulate").items():
-                f.write(f"# {key}: {value}\n")
-            f.write(f"# rng: {trajectory.rng}\n")
-        trajectory.write_csv(f)
-    print(path)
     return EXIT_OK
 
 
@@ -564,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text, reports=None, func=_cmd_report):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario YAML document")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -572,17 +555,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override solver seed")
         p.add_argument("--no-metadata", action="store_true",
                        help="omit metadata headers for byte-stable output")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, reports=reports)
         return p
 
-    add("solve", _cmd_solve, "run every configured output kind")
-    add("table", _cmd_table, "first-moment (N, c, t) grid plus reference match report")
-    add("sweep", _cmd_sweep, "retrial-rate sweep of the first moments")
-    ts = add("timeseries", _cmd_timeseries, "tidy time series for plotting")
+    add("solve", "run every configured output kind")
+    add("table", "first-moment (N, c, t) grid plus reference match report", ("table_grid",))
+    add("sweep", "retrial-rate sweep of the first moments", ("theta_sweep",))
+    ts = add("timeseries", "tidy time series for plotting")
     ts.add_argument("--kind", choices=("marginals", "moments"), default="moments")
-    add("stationary", _cmd_stationary, "stationary distribution (nullspace method)")
-    add("simulate", _cmd_simulate, "dump one stochastic trajectory")
-    add("validate-config", _cmd_validate, "parse and validate the config, then exit")
+    add("stationary", "stationary distribution (nullspace method)", ("stationary",))
+    add("simulate", "dump one stochastic trajectory", ("trajectory",))
+    add("validate-config", "parse and validate the config, then exit", func=_cmd_validate)
     return parser
 
 
@@ -591,7 +574,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AccuracyError, NumericalError) as exc:

@@ -1,23 +1,19 @@
-"""Sparse infinitesimal generator of the retrial-SI chain.
+"""Transition table and sparse infinitesimal generator of the retrial-SI chain.
 
-Four transition families leave a state (i, j):
-
-    (i, j) -> (i + 1, j)      arrival straight to a unit   rate lambda(i, j), i <= c - 1
-    (i, j) -> (i - 1, j)      recovery completes           rate i * mu,       i >= 1
-    (i, j) -> (i + 1, j - 1)  successful retrial           rate j * theta,    i <= c - 1, j >= 1
-    (c, j) -> (c, j + 1)      arrival joins the orbit      rate lambda(c, j), j <= N - c - 1
-
-The diagonal carries minus the row's total exit rate, so every row sums to 0.
+The moves of the chain are enumerated once, in :func:`_moves`, and
+:func:`transitions` attaches their rates; the generator, its structural check
+and the simulator's tables are all derived from that one table.  The diagonal
+of Q carries minus the row's total exit rate, so every row sums to 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DomainError, ModelError
+from .errors import ModelError
 from .model import ModelConfig, RateFunction, StateSpace
 
 DENSE_LIMIT = 10_000
@@ -74,35 +70,56 @@ class GeneratorMatrix:
             fileobj.write(f"{r},{c},{v!r}\n")
 
 
-def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
-    """Assemble Q over the linear state ordering from the four transition families."""
-    space = cfg.space
+def _moves(space: StateSpace):
+    """Source, target and family of every move on the stencil of ``space``.
+
+    Four transition families leave a state (i, j):
+
+        0  (i, j) -> (i + 1, j)      arrival straight to a unit   rate lambda(i, j), i <= c - 1
+        1  (i, j) -> (i - 1, j)      recovery completes           rate i * mu,       i >= 1
+        2  (i, j) -> (i + 1, j - 1)  successful retrial           rate j * theta,    i <= c - 1, j >= 1
+        3  (c, j) -> (c, j + 1)      arrival joins the orbit      rate lambda(c, j), j <= N - c - 1
+
+    The arrays are sorted by source state and, within a state, by family.
+    """
     width = space.width
-    rows, cols, vals = [], [], []
+    i, j = np.divmod(np.arange(space.size), width)
+    below = i <= space.c - 1
+    present = np.stack(
+        [below, i >= 1, below & (j >= 1), (i == space.c) & (j <= space.N - space.c - 1)], axis=1
+    )
+    src, family = np.nonzero(present)  # row-major: by source state, then by family
+    offset = np.array([width, -width, width - 1, 1])  # target index minus source index
+    return src, src + offset[family], family
 
-    def push(src, dst, rate):
-        rows.append(src)
-        cols.append(dst)
-        vals.append(rate)
 
-    for i in range(space.c + 1):
-        for j in range(width):
-            src = space.index(i, j)
-            lam = rate_fn(i, j)
-            if lam < 0:
-                raise ModelError(f"rate function returned {lam} < 0 at state ({i}, {j})")
-            if i <= space.c - 1:
-                push(src, space.index(i + 1, j), lam)
-            if i >= 1:
-                push(src, space.index(i - 1, j), i * cfg.mu)
-            if i <= space.c - 1 and j >= 1:
-                push(src, space.index(i + 1, j - 1), j * cfg.theta)
-            if i == space.c and j <= space.N - space.c - 1:
-                push(src, space.index(space.c, j + 1), lam)
+def transitions(cfg: ModelConfig, rate_fn: RateFunction):
+    """Every move of the chain with its rate, as arrays ``(src, dst, rate)``.
 
-    off = sparse.coo_matrix((vals, (rows, cols)), shape=(space.size, space.size)).tocsr()
+    The moves are those of :func:`_moves`, in the same order.  A move on the
+    stencil is listed even when its rate is 0 (theta = 0, or an arrival with
+    i + j = N), so the stored pattern of Q does not depend on the rates.
+    ``rate_fn`` is called once per state, in index order.
+    """
+    space = cfg.space
+    i, j = np.divmod(np.arange(space.size), space.width)
+    lam = np.array([rate_fn(a, b) for a, b in zip(i.tolist(), j.tolist())], dtype=float)
+    negative = np.flatnonzero(lam < 0)
+    if negative.size:
+        k = negative[0]
+        raise ModelError(f"rate function returned {lam[k]} < 0 at state ({i[k]}, {j[k]})")
+    src, dst, family = _moves(space)
+    per_family = np.stack([lam, i * cfg.mu, j * cfg.theta, lam])
+    return src, dst, per_family[family, src]
+
+
+def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
+    """Assemble Q over the linear state ordering from the transition table."""
+    src, dst, rate = transitions(cfg, rate_fn)
+    size = cfg.space.size
+    off = sparse.coo_matrix((rate, (src, dst)), shape=(size, size)).tocsr()
     diag = sparse.diags(-np.asarray(off.sum(axis=1)).ravel())
-    return GeneratorMatrix((off + diag).tocsr(), space)
+    return GeneratorMatrix((off + diag).tocsr(), cfg.space)
 
 
 @dataclass(frozen=True)
@@ -136,20 +153,6 @@ class ValidationReport:
         return "; ".join(parts)
 
 
-def _on_stencil(space: StateSpace, src: int, dst: int) -> bool:
-    i, j = space.state_at(src)
-    x, y = space.state_at(dst)
-    if (x, y) == (i + 1, j) and i <= space.c - 1:
-        return True
-    if (x, y) == (i - 1, j) and i >= 1:
-        return True
-    if (x, y) == (i + 1, j - 1) and i <= space.c - 1 and j >= 1:
-        return True
-    if i == space.c and (x, y) == (space.c, j + 1) and j <= space.N - space.c - 1:
-        return True
-    return False
-
-
 def validate_generator(gen: GeneratorMatrix, tol: float = 1e-12) -> ValidationReport:
     """Check zero row sums, nonnegative off-diagonal, and the transition stencil.
 
@@ -160,20 +163,21 @@ def validate_generator(gen: GeneratorMatrix, tol: float = 1e-12) -> ValidationRe
     bad_rows = tuple(np.nonzero(np.abs(sums) > tol)[0].tolist())
 
     rows, cols, vals = gen.triplets()
-    neg = tuple(
-        (int(r), int(c))
-        for r, c, v in zip(rows, cols, vals)
-        if r != c and v < 0
-    )
+    off_diagonal = rows != cols
+
+    def pairs(mask):
+        return tuple(zip(rows[mask].tolist(), cols[mask].tolist()))
+
+    neg = pairs(off_diagonal & (vals < 0))
 
     off_stencil: tuple[tuple[int, int], ...] = ()
     checked = gen.space is not None
     if checked:
-        off_stencil = tuple(
-            (int(r), int(c))
-            for r, c, v in zip(rows, cols, vals)
-            if r != c and v != 0 and not _on_stencil(gen.space, int(r), int(c))
-        )
+        src, dst, _ = _moves(gen.space)
+        # int64 keys: dim ** 2 overflows int32 from about 46,000 states
+        keys = rows.astype(np.int64) * gen.dim + cols
+        on_stencil = np.isin(keys, src * gen.dim + dst)
+        off_stencil = pairs(off_diagonal & (vals != 0) & ~on_stencil)
 
     return ValidationReport(
         max_abs_row_sum=float(np.abs(sums).max()) if sums.size else 0.0,

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .generator import GeneratorMatrix
 from .laplace import assemble_resolvent
-from .transient import ProbabilityVector, Provenance, TransientSolution
+from .transient import ProbabilityVector, Provenance, TransientSolution, time_grid
 
 K_MIN = 2
 K_MAX = 20
@@ -118,13 +118,9 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     strictly nonnegative distribution is required.  Raw deviations are
     recorded in metadata.
     """
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("times must be a nonempty 1-d sequence")
-    if np.any(grid <= 0):
+    grid = time_grid(times)
+    if grid[0] <= 0:
         raise DomainError("times must be strictly positive")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise DomainError("times must be strictly increasing")
 
     weights = stehfest_coefficients(order)
     v_ext = weights.values_extended

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .generator import GeneratorMatrix
+from .generator import GeneratorMatrix, transitions
 from .model import ModelConfig, RateFunction, State, StateSpace
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
@@ -78,6 +78,23 @@ def delta_vector(space: StateSpace, state: State,
     values = np.zeros(space.size)
     values[space.index(*state)] = 1.0
     return ProbabilityVector(values, 0.0, provenance, space)
+
+
+def time_grid(times) -> np.ndarray:
+    """``times`` as a float array, checked to be a grid the solvers accept.
+
+    A grid is nonempty and 1-d, every time is finite and >= 0, and the times
+    strictly increase.  An infinite time would never be reached by a sampled
+    path and overflows the uniformization step count.
+    """
+    grid = np.asarray(times, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError("times must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(grid) & (grid >= 0)):
+        raise DomainError("times must be finite and nonnegative")
+    if not np.all(np.diff(grid) > 0):
+        raise DomainError("times must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +206,7 @@ def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
 
     Cost scales with the largest time, not with grid size times horizon.
     """
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("times must be a nonempty 1-d sequence")
-    if np.any(grid < 0):
-        raise DomainError("times must be nonnegative")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise DomainError("times must be strictly increasing")
+    grid = time_grid(times)
 
     vectors = []
     current = p0
@@ -210,35 +221,25 @@ def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
 
 @lru_cache(maxsize=32)
 def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
-    """Per-state targets and rates for the four transition families.
+    """Per-state targets and cumulative rates of the moves in :func:`transitions`.
 
-    Returns (exit_rate[s], cum_rates[s, 0:4], targets[s, 0:4]) padded with the
-    row's total so slot selection never overruns.  Cached per (config, rate
-    function) pair; rate functions are pure, so identity caching is sound.
+    Returns (exit_rate[s], cum_rates[s, 0:4], targets[s, 0:4]): a state's moves
+    fill its first slots in family order, and the rest are padded with the
+    row's total, so a uniform draw below the exit rate never selects a padded
+    slot.  The exit rate is the last cumulative rate; it can differ from
+    -diag(Q), which sums the same rates in column order, in the last bits.
+    Cached per (config, rate function) pair; rate functions are pure, so
+    identity caching is sound.
     """
-    space = cfg.space
-    size = space.size
+    src, dst, rate = transitions(cfg, rate_fn)
+    size = cfg.space.size
+    slot = np.arange(src.size) - np.searchsorted(src, src)  # rank within the state's moves
     targets = np.zeros((size, 4), dtype=np.int64)
     rates = np.zeros((size, 4))
-    for i in range(space.c + 1):
-        for j in range(space.width):
-            src = space.index(i, j)
-            moves = []
-            lam = rate_fn(i, j)
-            if i <= space.c - 1:
-                moves.append((space.index(i + 1, j), lam))
-            if i >= 1:
-                moves.append((space.index(i - 1, j), i * cfg.mu))
-            if i <= space.c - 1 and j >= 1:
-                moves.append((space.index(i + 1, j - 1), j * cfg.theta))
-            if i == space.c and j <= space.N - space.c - 1:
-                moves.append((space.index(space.c, j + 1), lam))
-            for slot, (dst, rate) in enumerate(moves):
-                targets[src, slot] = dst
-                rates[src, slot] = rate
-    exit_rate = rates.sum(axis=1)
+    targets[src, slot] = dst
+    rates[src, slot] = rate
     cum = np.cumsum(rates, axis=1)
-    return exit_rate, cum, targets
+    return cum[:, -1], cum, targets
 
 
 def simulate_gillespie(cfg: ModelConfig, rate_fn: RateFunction, horizon: float,
@@ -309,13 +310,7 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
     """
     if replicas < 1000:
         raise DomainError(f"replicas must be >= 1000, got {replicas}")
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("times must be a nonempty 1-d sequence")
-    if np.any(grid < 0):
-        raise DomainError("times must be nonnegative")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise DomainError("times must be strictly increasing")
+    grid = time_grid(times)
 
     space = cfg.space
     exit_rate, cum, targets = _transition_table(cfg, rate_fn)

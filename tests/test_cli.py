@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import retrialsi as rs
+from retrialsi import cli
 from retrialsi.cli import main, scenario_from_mapping
-from retrialsi.errors import ConfigError
+from retrialsi.errors import ConfigError, ModelError
 
 WELLMIXED_YAML = """\
 model:
@@ -21,6 +22,9 @@ solver:
 times: [0.5, 2.0, 5.0]
 outputs: [{outputs}]
 """
+
+
+MODEL_YAML = "model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2}\n"
 
 
 def write_config(tmp_path, name="scenario.yaml", method="uniformization",
@@ -156,6 +160,35 @@ class TestExitCodes:
             "times: [0.5]\noutputs: [moments]\n"
         )
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("body, out_is_file", [
+        ("model: {N: [10], c: 5, alpha: 5, mu: 0.4, theta: 2}\n", False),
+        ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, initial_state: 3}\n", False),
+        (MODEL_YAML + "table: {N: 10}\n", False),
+        (MODEL_YAML + "sweep: {thetas: 2.0}\n", False),
+        (MODEL_YAML + "sweep: {thetas: [-1.0, 2.0]}\n", False),
+        (MODEL_YAML + "times: [1.0, x]\n", False),
+        (MODEL_YAML + "times: {start: 0, stop: 1, step: a}\n", False),
+        (MODEL_YAML, True),
+    ], ids=["list_N", "scalar_initial_state", "scalar_table_N", "scalar_thetas",
+            "negative_theta", "string_time", "string_step", "out_is_file"])
+    def test_malformed_input_is_exit_two(self, tmp_path, capsys, body, out_is_file):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(body + "solver: {method: uniformization}\noutputs: [moments]\n")
+        out = tmp_path / "out"
+        if out_is_file:
+            out.write_text("")
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_model_error_is_exit_two(self, tmp_path, monkeypatch):
+        def ill_posed(*args):
+            raise ModelError("reducible chain")
+
+        monkeypatch.setattr(cli, "stationary_nullspace", ill_posed)
+        cfg = write_config(tmp_path)
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -333,6 +366,12 @@ class TestScenarioParsing:
             scenario_from_mapping({**base, "times": {"start": 0, "stop": 1, "step": 0}})
         with pytest.raises(ConfigError, match="times"):
             scenario_from_mapping({**base, "times": "noon"})
+        with pytest.raises(ConfigError, match="^times: times must be finite and nonnegative"):
+            scenario_from_mapping({**base, "times": {"start": -1.0, "stop": 2.0, "step": 0.5}})
+        with pytest.raises(ConfigError, match="^table.times: times must be finite and nonnegative"):
+            scenario_from_mapping({**base, "table": {"times": [-1.0, 1.0]}})
+        with pytest.raises(ConfigError, match="^sweep.times: times must be finite"):
+            scenario_from_mapping({**base, "sweep": {"times": [1.0, float("inf")]}})
 
     def test_heterogeneous_default_tagged_node(self, tmp_path):
         graph = tmp_path / "g.txt"

@@ -1,0 +1,68 @@
+"""Invariants of the one transition table, checked on generated models."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import retrialsi as rs  # noqa: E402
+from retrialsi.transient import _transition_table  # noqa: E402
+
+RATES = st.floats(0.05, 10.0)
+
+
+@st.composite
+def models(draw):
+    """(config, contact graph) with N <= 30; the graph is used in heterogeneous mode."""
+    N = draw(st.integers(2, 30))
+    c = draw(st.integers(1, N - 1))
+    edges = draw(st.sets(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
+                         .filter(lambda e: e[0] < e[1]), max_size=3 * N))
+    adjacency = np.zeros((N, N), dtype=int)
+    for u, v in edges:
+        adjacency[u, v] = adjacency[v, u] = 1
+    heterogeneous = draw(st.booleans())
+    cfg = rs.ModelConfig(
+        N=N, c=c, alpha=draw(RATES), mu=draw(RATES),
+        theta=draw(st.one_of(st.just(0.0), RATES)),
+        mode="heterogeneous" if heterogeneous else "homogeneous",
+        tagged_node=draw(st.integers(0, N - 1)) if heterogeneous else None,
+        closure=draw(st.sampled_from(list(rs.Closure))),
+        initial_state=(draw(st.integers(0, c)), draw(st.integers(0, N - c))),
+    )
+    return cfg, rs.ContactGraph(adjacency)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(models(), st.floats(0.0, 2.0))
+def test_generator_simulator_and_oracle_agree(model, t):
+    cfg, graph = model
+    rate_fn = rs.rate_function(cfg, graph)
+    gen = rs.build_generator(cfg, rate_fn)
+    report = rs.validate_generator(gen)
+    assert report.ok and report.stencil_checked, report.summary()
+
+    # The simulator sums a state's (at most three, nonnegative) rates in family
+    # order, Q in column order; each sum is within 2u = eps of the exact one.
+    exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    np.testing.assert_allclose(exit_rate, gen.exit_rates(), rtol=3 * np.finfo(float).eps, atol=0)
+
+    # Every slot a uniform draw can select moves along a positive off-diagonal
+    # entry of Q with the same rate, and every such entry has a slot.  A slot's
+    # rate, read back as a difference of cumulative rates, is exact to within
+    # eps times the state's exit rate.
+    q = gen.matrix
+    slot_rates = np.diff(cum, axis=1, prepend=0.0)
+    src, slot = np.nonzero(slot_rates > 0)
+    dst = targets[src, slot]
+    assert np.all(dst != src)
+    error = np.abs(np.asarray(q[src, dst]).ravel() - slot_rates[src, slot])
+    assert np.all(error <= 2 * np.finfo(float).eps * exit_rate[src])
+    rows, cols, vals = gen.triplets()
+    assert src.size == np.count_nonzero((rows != cols) & (vals > 0))
+
+    p0 = rs.delta_vector(cfg.space, cfg.initial_state)
+    assert abs(rs.uniformize(gen, p0, t).total - 1.0) <= 1e-12
+
+    assert np.array_equal(rs.load_graph(rs.graph_to_text(graph)).adjacency, graph.adjacency)
