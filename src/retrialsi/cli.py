@@ -26,7 +26,7 @@ import yaml
 from . import __version__
 from .errors import AccuracyError, ConfigError, DomainError, ModelError, NumericalError
 from .generator import build_generator
-from .inversion import DEFAULT_CHAIN_ORDER, transient_via_ilt
+from .inversion import DEFAULT_CHAIN_ORDER, K_MAX, K_MIN, transient_via_ilt
 from .laplace import stationary_fvt, stationary_nullspace
 from .measures import marginal_orbit, marginal_recovering, moment_orbit, moment_recovering
 from .model import (
@@ -39,7 +39,8 @@ from .model import (
 )
 from .reference import REFERENCE_FIRST_MOMENTS, REFERENCE_TOLERANCE
 from .transient import (
-    ProbabilityVector,
+    EPS_MAX,
+    MIN_REPLICAS,
     Provenance,
     TransientSolution,
     delta_vector,
@@ -201,6 +202,13 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
             replicas=int(solver_map.get("replicas", 100_000)),
             seed=int(seed_override if seed_override is not None else solver_map.get("seed", 0)),
         )
+    # checked whatever the method, since --method can switch it at run time
+    if solver.order % 2 or not K_MIN <= solver.order <= K_MAX:
+        raise ConfigError(f"solver.K: must be even and in [{K_MIN}, {K_MAX}], got {solver.order}")
+    if not 0 < solver.eps <= EPS_MAX:
+        raise ConfigError(f"solver.eps: must lie in (0, {EPS_MAX:g}], got {solver.eps}")
+    if solver.replicas < MIN_REPLICAS:
+        raise ConfigError(f"solver.replicas: must be >= {MIN_REPLICAS}, got {solver.replicas}")
 
     times = _parse_times(mapping.get("times"), "times")
 
@@ -251,7 +259,8 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings,
     """Distribution on a time grid under the configured method.
 
     A leading t = 0 is served directly by the initial distribution (the
-    inverse transform needs t > 0; the other methods accept 0 anyway).
+    inverse transform needs t > 0; the other methods accept 0 anyway), so a
+    grid of t = 0 alone runs no inversion.
     """
     rate = rate_function(model, graph)
     gen = build_generator(model, rate)
@@ -262,11 +271,12 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings,
         return monte_carlo_estimate(model, rate, times, solver.replicas, solver.seed).solution
 
     positive = times[times > 0]
-    sol = transient_via_ilt(gen, p0, positive, order=solver.order)
-    if positive.size == times.size:
-        return sol
-    vectors = [ProbabilityVector(p0.values, 0.0, Provenance.ILT, model.space)] + sol.vectors
-    return TransientSolution(times, vectors, sol.metadata)
+    vectors = [p0] * (times.size - positive.size)  # the t = 0 row, if any
+    meta = {"method": "ilt", "order": solver.order}
+    if positive.size:
+        sol = transient_via_ilt(gen, p0, positive, order=solver.order)
+        vectors, meta = vectors + sol.vectors, sol.metadata
+    return TransientSolution(times, vectors, meta)
 
 
 # --- report writing ---------------------------------------------------------

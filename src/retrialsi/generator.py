@@ -9,6 +9,7 @@ of Q carries minus the row's total exit rate, so every row sums to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -49,6 +50,19 @@ class GeneratorMatrix:
         if self.dim > DENSE_LIMIT:
             raise ModelError(f"refusing dense conversion for dimension {self.dim} > {DENSE_LIMIT}")
         return self.matrix.toarray()
+
+    @cached_property
+    def matrix_extended(self) -> sparse.csr_matrix:
+        """Q in longdouble, its diagonal recomputed as minus the off-diagonal row sums.
+
+        Built once, on first use.  The stored double diagonal is the rounded
+        negated row sum, so the stored rows miss zero by an ulp of the exit
+        rate; at s = 1e-6 that alone moves s * sum(x) off 1 by about 1e-10.
+        """
+        q = self.matrix.astype(np.longdouble)
+        off = q - sparse.diags(q.diagonal())
+        exit_rates = off @ np.ones(self.dim, dtype=np.longdouble)
+        return (off - sparse.diags(exit_rates)).tocsr()
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()

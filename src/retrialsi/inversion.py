@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .generator import GeneratorMatrix
-from .laplace import assemble_resolvent
+from .laplace import REFINE_STEPS, assemble_resolvent
 from .transient import ProbabilityVector, Provenance, TransientSolution, time_grid
 
 K_MIN = 2
@@ -85,11 +85,9 @@ def stehfest_coefficients(order: int = DEFAULT_ORDER) -> StehfestWeights:
         raise DomainError(f"order must be even and in [{K_MIN}, {K_MAX}], got {order}")
     exact = _exact_weights(order)
     values = np.array([float(v) for v in exact])
-    extended = np.zeros(order, dtype=np.longdouble)
-    for i, v in enumerate(exact):
-        hi = float(v)
-        lo = float(v - Fraction(hi))  # exact remainder of the double rounding
-        extended[i] = np.longdouble(hi) + np.longdouble(lo)
+    # exact remainder of each weight's double rounding
+    remainders = np.array([float(v - Fraction(hi)) for v, hi in zip(exact, values.tolist())])
+    extended = values.astype(np.longdouble) + remainders.astype(np.longdouble)
     return StehfestWeights(order, values, extended)
 
 
@@ -104,8 +102,7 @@ def invert_at(transform, t: float, weights: StehfestWeights) -> float:
 
 
 def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
-                      order: int = DEFAULT_CHAIN_ORDER,
-                      refine_steps: int = 2) -> TransientSolution:
+                      order: int = DEFAULT_CHAIN_ORDER) -> TransientSolution:
     """Recover P(t) on a time grid from K resolvent solves per point.
 
     For each t the resolvent is solved at s = k ln 2 / t, k = 1..K, and the
@@ -134,13 +131,13 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
         acc = np.zeros(gen.dim, dtype=np.longdouble)
         for k in range(1, order + 1):
             system = assemble_resolvent(gen, np.longdouble(k) * _LN2_EXT / t_ext)
-            acc += v_ext[k - 1] * system.solve_refined(p0_values, refine_steps)
+            acc += v_ext[k - 1] * system.solve_refined(p0_values)
         raw = np.asarray((_LN2_EXT / t_ext) * acc, dtype=float)
 
         excursion = max(float(-raw.min()), float(raw.max() - 1.0), 0.0)
         if excursion > RAW_TOLERANCE_BAND:
             worst = int(np.argmin(raw)) if -raw.min() >= raw.max() - 1.0 else int(np.argmax(raw))
-            state = gen.space.state_at(worst) if gen.space is not None else worst
+            state = gen.space.state_at(worst)
             raise AccuracyError(
                 f"inverted probabilities stray {excursion:.3e} outside [0, 1] "
                 f"at t={t} (state {state}); decrease the step or change order K={order}",
@@ -154,7 +151,7 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     meta = {
         "method": "ilt",
         "order": order,
-        "refine_steps": refine_steps,
+        "refine_steps": REFINE_STEPS,
         "raw_sum_deviation": raw_sum_deviation,
         "band_excursion": band_excursion,
     }

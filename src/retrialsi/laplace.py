@@ -17,10 +17,11 @@ A_i is diagonal for i < c and upper bidiagonal for i = c (orbit arrivals);
 B_i is lower bidiagonal (arrivals on the diagonal, retrials below);
 C_i is diagonal (recoveries).
 
-Iterative refinement and the resolvent residual check run in longdouble,
-against Q with its diagonal recomputed as minus the off-diagonal row sums:
-near s = 0 the solution has size 1/s, and a double-precision residual there
-is one rounding step, not a measurement.  The stationary vector solves the
+Every resolvent solve that leaves this module is refined and then
+residual-checked, both in longdouble, against Q with its diagonal recomputed
+as minus the off-diagonal row sums (built once per generator): near s = 0
+the solution has size 1/s, and a double-precision residual there is one
+rounding step, not a measurement.  The stationary vector solves the
 same kind of sparse system, pi Q = 0 with one balance equation replaced by
 sum(pi) = 1, after a structural check that the chain has exactly one closed
 class.
@@ -42,6 +43,8 @@ from .model import StateSpace
 from .transient import ProbabilityVector, Provenance
 
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+REFINE_STEPS = 2  # iterative-refinement steps per resolvent solve
+RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of a refined solve, in longdouble
 
 
 def _sparse_lu(a: sparse.spmatrix, what: str):
@@ -52,19 +55,6 @@ def _sparse_lu(a: sparse.spmatrix, what: str):
         raise NumericalError(f"singular pivot in {what}: {exc}") from exc
 
 
-def _extended_generator(q: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Q in longdouble, its diagonal recomputed as minus the off-diagonal row sums.
-
-    The stored double diagonal is the rounded negated row sum, so the stored
-    rows miss zero by an ulp of the exit rate; at s = 1e-6 that alone moves
-    s * sum(x) off 1 by about 1e-10.
-    """
-    q_ext = q.astype(np.longdouble)
-    off = q_ext - sparse.diags(q_ext.diagonal())
-    exit_rates = off @ np.ones(q.shape[0], dtype=np.longdouble)
-    return (off - sparse.diags(exit_rates)).tocsr()
-
-
 @dataclass(eq=False)
 class ResolventSystem:
     """M(s) = s I - Q in CSR form, with a lazily cached sparse LU of M(s)^T.
@@ -72,20 +62,22 @@ class ResolventSystem:
     ``s_extended`` keeps the abscissa to extended precision: the refinement
     path must target s I - Q at the exact s, not its double rounding, or the
     near-total cancellation in the inversion weights exposes the difference.
-    ``q_extended`` is Q in longdouble with its diagonal recomputed, the
-    operator that refinement and the residual check measure against.
+    Refinement and the residual check measure against the generator's
+    :attr:`~GeneratorMatrix.matrix_extended`.
     """
 
-    s: float
-    space: StateSpace
+    generator: GeneratorMatrix
+    s_extended: np.longdouble
     matrix: sparse.csr_matrix       # M(s) at the double rounding of s
-    q_extended: sparse.csr_matrix
-    s_extended: np.longdouble = None
     _lu: object = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.s_extended is None:
-            self.s_extended = np.longdouble(self.s)
+    @property
+    def s(self) -> float:
+        return float(self.s_extended)
+
+    @property
+    def space(self) -> StateSpace:
+        return self.generator.space
 
     @property
     def dim(self) -> int:
@@ -104,22 +96,27 @@ class ResolventSystem:
     def apply_transpose_extended(self, x: np.ndarray) -> np.ndarray:
         """(s_extended I - Q)^T x in longdouble, with the exact abscissa."""
         x = np.asarray(x, dtype=np.longdouble)
-        return self.s_extended * x - self.q_extended.T @ x
+        return self.s_extended * x - self.generator.matrix_extended.T @ x
 
-    def solve_refined(self, rhs: np.ndarray, refine_steps: int = 2) -> np.ndarray:
+    def solve_refined(self, rhs: np.ndarray) -> np.ndarray:
         """Solve x M = rhs with iterative refinement; extended-precision result.
 
-        Each step recomputes the residual in longdouble against the exact
-        abscissa and corrects through the cached double-precision
-        factorization.  Needed by the inverse-transform driver, whose
-        alternating weights amplify solver noise.
+        Each of REFINE_STEPS steps recomputes the residual in longdouble
+        against the exact abscissa and corrects through the cached
+        double-precision factorization.  Needed by the inverse-transform
+        driver, whose alternating weights amplify solver noise.  The refined
+        solution must meet RESIDUAL_TOL in longdouble, else NumericalError.
         """
         x = self.solve(rhs).astype(np.longdouble)
         b = np.asarray(rhs, dtype=np.longdouble)
-        for _ in range(refine_steps):
+        for _ in range(REFINE_STEPS):
             r = b - self.apply_transpose_extended(x)
-            dx = self.solve(r.astype(float))
-            x = x + dx.astype(np.longdouble)
+            x = x + self.solve(r.astype(float))  # promoted to longdouble exactly
+        residual = float(np.abs(self.apply_transpose_extended(x) - b).max())
+        if not residual <= RESIDUAL_TOL:
+            raise NumericalError(
+                f"resolvent solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} at s={self.s}"
+            )
         return x
 
 
@@ -133,10 +130,8 @@ def assemble_resolvent(gen: GeneratorMatrix, s) -> ResolventSystem:
         raise DomainError(f"Laplace variable s must be > 0, got {s}")
     if gen.space is None:
         raise ModelError("generator has no attached state space")
-    s64 = float(s)
-    matrix = (sparse.identity(gen.dim, format="csr") * s64 - gen.matrix).tocsr()
-    return ResolventSystem(s64, gen.space, matrix, _extended_generator(gen.matrix),
-                           s_extended=np.longdouble(s))
+    matrix = (sparse.identity(gen.dim, format="csr") * float(s) - gen.matrix).tocsr()
+    return ResolventSystem(gen, np.longdouble(s), matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,24 +147,17 @@ class LaplaceSolution:
         return float(self.pstar.sum())
 
 
-def solve_resolvent(system: ResolventSystem, p0: ProbabilityVector,
-                    residual_tol: float = 1e-10) -> LaplaceSolution:
-    """Solve x M(s) = p0 with refinement and verify the residual in longdouble.
+def solve_resolvent(system: ResolventSystem, p0: ProbabilityVector) -> LaplaceSolution:
+    """Solve x M(s) = p0 by :meth:`ResolventSystem.solve_refined`.
 
-    The check measures the refined solution; ``pstar`` is its double rounding.
+    ``pstar`` is the double rounding of the refined, residual-checked solution.
     """
     v = np.asarray(p0.values, dtype=float)
     if v.size != system.dim:
         raise DomainError(f"p0 has length {v.size}, system dimension is {system.dim}")
     if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
         raise DomainError("p0 must be a probability distribution")
-    x = system.solve_refined(v)
-    residual = float(np.abs(system.apply_transpose_extended(x) - v).max())
-    if not residual <= residual_tol:
-        raise NumericalError(
-            f"resolvent solve residual {residual:.3e} exceeds {residual_tol:.1e} at s={system.s}"
-        )
-    return LaplaceSolution(system.s, x.astype(float), system.space)
+    return LaplaceSolution(system.s, system.solve_refined(v).astype(float), system.space)
 
 
 def _closed_classes(q: sparse.csr_matrix) -> int:
@@ -236,15 +224,8 @@ def stationary_fvt(gen: GeneratorMatrix, p0: ProbabilityVector,
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("s_grid must be strictly decreasing")
 
-    diffs = []
-    prev = None
-    vec = None
-    for s in grid:
-        sol = solve_resolvent(assemble_resolvent(gen, s), p0)
-        vec = s * sol.pstar
-        if prev is not None:
-            diffs.append(float(np.abs(vec - prev).max()))
-        prev = vec
+    vectors = [s * solve_resolvent(assemble_resolvent(gen, s), p0).pstar for s in grid]
+    diffs = [float(np.abs(b - a).max()) for a, b in zip(vectors, vectors[1:])]
     converged = bool(diffs and diffs[-1] <= tol)
     if not converged:
         warnings.warn(
@@ -252,6 +233,6 @@ def stationary_fvt(gen: GeneratorMatrix, p0: ProbabilityVector,
             f"{diffs[-1] if diffs else float('nan'):.3e})",
             stacklevel=2,
         )
-    result = ProbabilityVector(np.clip(vec, 0.0, None), np.inf,
+    result = ProbabilityVector(np.clip(vectors[-1], 0.0, None), np.inf,
                                Provenance.STATIONARY, gen.space)
     return FvtResult(result, grid, tuple(diffs), converged)

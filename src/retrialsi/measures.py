@@ -15,38 +15,32 @@ from .errors import DomainError
 from .transient import ProbabilityVector
 
 
-def _grid(p: ProbabilityVector) -> np.ndarray:
-    if p.space is None:
-        raise DomainError("probability vector has no attached state space")
-    return p.as_grid()
-
-
 def marginal_recovering(p: ProbabilityVector) -> np.ndarray:
     """p_i = sum_j p_{i,j}; length c + 1."""
-    return _grid(p).sum(axis=1)
+    return p.as_grid().sum(axis=1)
 
 
 def marginal_orbit(p: ProbabilityVector) -> np.ndarray:
     """q_j = sum_i p_{i,j}; length N - c + 1."""
-    return _grid(p).sum(axis=0)
+    return p.as_grid().sum(axis=0)
+
+
+def _raw_moment(marginal: np.ndarray, n: int) -> float:
+    """n-th raw moment of a marginal over the levels 0, 1, ..."""
+    if n < 1:
+        raise DomainError(f"moment order must be >= 1, got {n}")
+    levels = np.arange(marginal.size, dtype=float)
+    return float(levels ** n @ marginal)
 
 
 def moment_recovering(p: ProbabilityVector, n: int = 1) -> float:
     """n-th raw moment of the number of busy recovery units."""
-    if n < 1:
-        raise DomainError(f"moment order must be >= 1, got {n}")
-    marginal = marginal_recovering(p)
-    levels = np.arange(marginal.size, dtype=float)
-    return float(levels ** n @ marginal)
+    return _raw_moment(marginal_recovering(p), n)
 
 
 def moment_orbit(p: ProbabilityVector, n: int = 1) -> float:
     """n-th raw moment of the orbit occupancy."""
-    if n < 1:
-        raise DomainError(f"moment order must be >= 1, got {n}")
-    marginal = marginal_orbit(p)
-    levels = np.arange(marginal.size, dtype=float)
-    return float(levels ** n @ marginal)
+    return _raw_moment(marginal_orbit(p), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +76,6 @@ def marginal_report(p: ProbabilityVector, order: int = 2) -> MarginalReport:
         raise DomainError(f"report order must be >= 2 (variance needs E[X^2]), got {order}")
     server = marginal_recovering(p)
     orbit = marginal_orbit(p)
-    i_levels = np.arange(server.size, dtype=float)
-    j_levels = np.arange(orbit.size, dtype=float)
-    rec = np.array([float(i_levels ** n @ server) for n in range(1, order + 1)])
-    orb = np.array([float(j_levels ** n @ orbit) for n in range(1, order + 1)])
+    rec = np.array([_raw_moment(server, n) for n in range(1, order + 1)])
+    orb = np.array([_raw_moment(orbit, n) for n in range(1, order + 1)])
     return MarginalReport(p.t, server, orbit, rec, orb)

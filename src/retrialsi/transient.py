@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -21,6 +20,8 @@ from .generator import GeneratorMatrix, transitions
 from .model import ModelConfig, RateFunction, State, StateSpace
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
+EPS_MAX = 1e-6  # largest total-variation bound uniformization accepts
+MIN_REPLICAS = 1000  # fewest replicas a Monte Carlo estimate accepts
 
 
 class Provenance(str, Enum):
@@ -183,8 +184,8 @@ def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
     """Propagate ``p0`` for a duration ``t``; total variation error below ``eps``."""
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    if not 0 < eps <= 1e-6:
-        raise DomainError(f"eps must lie in (0, 1e-6], got {eps}")
+    if not 0 < eps <= EPS_MAX:
+        raise DomainError(f"eps must lie in (0, {EPS_MAX:g}], got {eps}")
     v = np.array(p0.values, dtype=float)
     out_t = p0.t + t
     lam = float(gen.exit_rates().max())
@@ -219,7 +220,6 @@ def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     return TransientSolution(grid, vectors, meta)
 
 
-@lru_cache(maxsize=32)
 def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
     """Per-state targets and cumulative rates of the moves in :func:`transitions`.
 
@@ -228,8 +228,6 @@ def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
     row's total, so a uniform draw below the exit rate never selects a padded
     slot.  The exit rate is the last cumulative rate; it can differ from
     -diag(Q), which sums the same rates in column order, in the last bits.
-    Cached per (config, rate function) pair; rate functions are pure, so
-    identity caching is sound.
     """
     src, dst, rate = transitions(cfg, rate_fn)
     size = cfg.space.size
@@ -308,8 +306,8 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
     holding time is resampled, which is distribution-exact because holding
     times are exponential.  Deterministic for a fixed seed.
     """
-    if replicas < 1000:
-        raise DomainError(f"replicas must be >= 1000, got {replicas}")
+    if replicas < MIN_REPLICAS:
+        raise DomainError(f"replicas must be >= {MIN_REPLICAS}, got {replicas}")
     grid = time_grid(times)
 
     space = cfg.space

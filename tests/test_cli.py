@@ -28,9 +28,10 @@ MODEL_YAML = "model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2}\n"
 
 
 def write_config(tmp_path, name="scenario.yaml", method="uniformization",
-                 outputs="moments", extra=""):
+                 outputs="moments", extra="", times="[0.5, 2.0, 5.0]"):
     path = tmp_path / name
-    path.write_text(WELLMIXED_YAML.format(method=method, outputs=outputs) + extra)
+    text = WELLMIXED_YAML.format(method=method, outputs=outputs)
+    path.write_text(text.replace("times: [0.5, 2.0, 5.0]", f"times: {times}") + extra)
     return str(path)
 
 
@@ -86,16 +87,25 @@ class TestSolve:
         main(["solve", "--config", cfg, "--out", str(out2), "--no-metadata"])
         assert (out1 / "moments.csv").read_bytes() == (out2 / "moments.csv").read_bytes()
 
-    def test_methods_agree(self, tmp_path):
-        cfg_ilt = write_config(tmp_path, "ilt.yaml", method="ilt")
-        cfg_uni = write_config(tmp_path, "uni.yaml", method="uniformization")
-        main(["solve", "--config", cfg_ilt, "--out", str(tmp_path / "ilt"), "--no-metadata"])
-        main(["solve", "--config", cfg_uni, "--out", str(tmp_path / "uni"), "--no-metadata"])
-        _, _, rows_ilt = read_report(tmp_path / "ilt" / "moments.csv")
-        _, _, rows_uni = read_report(tmp_path / "uni" / "moments.csv")
-        for a, b in zip(rows_ilt, rows_uni):
+    @staticmethod
+    def assert_methods_agree(tmp_path, times):
+        rows = {}
+        for method in ("ilt", "uniformization"):
+            cfg = write_config(tmp_path, f"{method}.yaml", method=method, times=times)
+            out = tmp_path / method
+            assert main(["solve", "--config", cfg, "--out", str(out), "--no-metadata"]) == 0
+            _, _, rows[method] = read_report(out / "moments.csv")
+        assert [a[0] for a in rows["ilt"]] == [b[0] for b in rows["uniformization"]]
+        for a, b in zip(rows["ilt"], rows["uniformization"]):
             assert float(a[1]) == pytest.approx(float(b[1]), abs=1e-4)
             assert float(a[2]) == pytest.approx(float(b[2]), abs=1e-4)
+
+    def test_methods_agree(self, tmp_path):
+        self.assert_methods_agree(tmp_path, "[0.5, 2.0, 5.0]")
+
+    def test_methods_agree_at_time_zero_only(self, tmp_path):
+        # the inverse transform needs t > 0; t = 0 is the initial distribution
+        self.assert_methods_agree(tmp_path, "[0.0]")
 
     def test_method_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, method="ilt")
@@ -181,6 +191,16 @@ class TestExitCodes:
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("K", 7), ("eps", 0.1), ("replicas", 10)])
+    def test_unusable_solver_value_fails_validation(self, tmp_path, capsys, key, value):
+        # rejected whatever the method: --method can switch it at run time
+        path = tmp_path / "cfg.yaml"
+        path.write_text(MODEL_YAML + f"solver: {{method: ilt, {key}: {value}}}\n"
+                        "times: [1.0]\noutputs: [moments]\n")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: solver.{key}") and "Traceback" not in err
 
     def test_model_error_is_exit_two(self, tmp_path, monkeypatch):
         def ill_posed(*args):

@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import retrialsi as rs
-from retrialsi.errors import AccuracyError, DomainError
+from retrialsi import laplace
+from retrialsi.errors import AccuracyError, DomainError, NumericalError
 
 # Closed-form transform pairs used as oracles.  The tolerances are the
 # measured double-precision accuracy of the K = 14 evaluation (truncation
@@ -118,6 +120,22 @@ class TestTransientViaIlt:
         sol = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [1.0], order=16)
         assert sol.metadata["order"] == 16
         assert sol.vectors[0].provenance is rs.Provenance.ILT
+
+    def test_extended_operator_built_once(self, wellmixed_config, wellmixed_p0, monkeypatch):
+        # the K = 20 resolvent systems of one time point share one longdouble Q
+        built = []
+        build = rs.GeneratorMatrix.matrix_extended.func
+        counted = functools.cached_property(lambda gen: built.append(gen) or build(gen))
+        counted.__set_name__(rs.GeneratorMatrix, "matrix_extended")
+        monkeypatch.setattr(rs.GeneratorMatrix, "matrix_extended", counted)
+        gen = rs.build_generator(wellmixed_config, rs.rate_function(wellmixed_config))
+        rs.transient_via_ilt(gen, wellmixed_p0, [2.0], order=20)
+        assert len(built) == 1
+
+    def test_unmet_residual_bound_raises(self, wellmixed_generator, wellmixed_p0, monkeypatch):
+        monkeypatch.setattr(laplace, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="residual"):
+            rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [2.0])
 
     def test_grid_validation(self, wellmixed_generator, wellmixed_p0):
         for bad in ([], [0.0, 1.0], [-1.0], [2.0, 1.0]):

@@ -57,6 +57,14 @@ class TestAssemble:
         for i in range(1, c + 1):
             np.testing.assert_allclose(block(sys_, i, i - 1), -i * cfg.mu * np.eye(w))
 
+    def test_systems_share_extended_operator(self, wellmixed_generator):
+        a = rs.assemble_resolvent(wellmixed_generator, 0.5)
+        b = rs.assemble_resolvent(wellmixed_generator, np.longdouble(2) / 3)
+        assert a.generator.matrix_extended is b.generator.matrix_extended
+        assert a.space is wellmixed_generator.space and a.dim == wellmixed_generator.dim
+        assert a.s == 0.5 and b.s == float(np.longdouble(2) / 3)
+        assert b.s_extended == np.longdouble(2) / 3
+
     def test_nonpositive_s_rejected(self, wellmixed_generator):
         for s in (0.0, -1.0):
             with pytest.raises(DomainError):

@@ -1,21 +1,24 @@
-"""Invariants of the one transition table, checked on generated models."""
+"""Invariants of the one transition table and the chain it defines, checked on generated models."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from scipy.sparse import csr_matrix  # noqa: E402
+from scipy.sparse.csgraph import connected_components  # noqa: E402
 
 import retrialsi as rs  # noqa: E402
 from retrialsi.transient import _transition_table  # noqa: E402
 
 RATES = st.floats(0.05, 10.0)
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=True)
 
 
 @st.composite
-def models(draw):
-    """(config, contact graph) with N <= 30; the graph is used in heterogeneous mode."""
-    N = draw(st.integers(2, 30))
+def models(draw, max_n=30, thetas=st.one_of(st.just(0.0), RATES)):
+    """(config, contact graph) with N <= max_n; the graph is used in heterogeneous mode."""
+    N = draw(st.integers(2, max_n))
     c = draw(st.integers(1, N - 1))
     edges = draw(st.sets(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
                          .filter(lambda e: e[0] < e[1]), max_size=3 * N))
@@ -25,7 +28,7 @@ def models(draw):
     heterogeneous = draw(st.booleans())
     cfg = rs.ModelConfig(
         N=N, c=c, alpha=draw(RATES), mu=draw(RATES),
-        theta=draw(st.one_of(st.just(0.0), RATES)),
+        theta=draw(thetas),
         mode="heterogeneous" if heterogeneous else "homogeneous",
         tagged_node=draw(st.integers(0, N - 1)) if heterogeneous else None,
         closure=draw(st.sampled_from(list(rs.Closure))),
@@ -34,7 +37,7 @@ def models(draw):
     return cfg, rs.ContactGraph(adjacency)
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@PROPERTY_SETTINGS
 @given(models(), st.floats(0.0, 2.0))
 def test_generator_simulator_and_oracle_agree(model, t):
     cfg, graph = model
@@ -66,3 +69,46 @@ def test_generator_simulator_and_oracle_agree(model, t):
     assert abs(rs.uniformize(gen, p0, t).total - 1.0) <= 1e-12
 
     assert np.array_equal(rs.load_graph(rs.graph_to_text(graph)).adjacency, graph.adjacency)
+
+
+def retrying_model(model):
+    """Generator of a model with theta > 0 whose tagged node, if any, has a contact.
+
+    A tagged node without neighbours sees no arrivals, which makes (0, 0) absorbing.
+    """
+    cfg, graph = model
+    assume(cfg.mode is rs.Mode.HOMOGENEOUS or graph.degree(cfg.tagged_node) > 0)
+    return cfg, rs.build_generator(cfg, rs.rate_function(cfg, graph))
+
+
+@PROPERTY_SETTINGS
+@given(models(max_n=15, thetas=RATES))
+def test_retrials_make_the_chain_irreducible(model):
+    _, gen = retrying_model(model)
+    rows, cols, vals = gen.triplets()
+    moves = (rows != cols) & (vals > 0)
+    graph = csr_matrix((vals[moves], (rows[moves], cols[moves])), shape=gen.matrix.shape)
+    n_components, _ = connected_components(graph, directed=True, connection="strong")
+    assert n_components == 1
+
+
+@PROPERTY_SETTINGS
+@given(models(max_n=15, thetas=RATES))
+def test_stationary_flux_balances_across_level_cuts(model):
+    # i moves up by arrivals and retrials and down by recoveries; i + j moves
+    # up by arrivals (to a unit or to the orbit) and down by recoveries.  In
+    # equilibrium the probability flux across every cut between adjacent
+    # levels of either count is zero.
+    cfg, gen = retrying_model(model)
+    pi = rs.stationary_nullspace(gen).values
+    rows, cols, vals = gen.triplets()
+    moves = rows != cols
+    src, dst = rows[moves], cols[moves]
+    flow = pi[src] * vals[moves]
+    i, j = np.divmod(np.arange(gen.dim), cfg.space.width)
+    bound = 1e-12 * gen.exit_rates().max()
+    for level in (i, i + j):
+        for cut in range(level.max()):
+            up = flow[(level[src] <= cut) & (level[dst] > cut)].sum()
+            down = flow[(level[src] > cut) & (level[dst] <= cut)].sum()
+            assert abs(up - down) <= bound, (cut, up, down)
