@@ -3,9 +3,9 @@ recovery units and retrying infected nodes.
 
 The state (i, j) of the continuous-time chain counts busy recovery units and
 orbiting (retrying) infected nodes.  Three independent solution routes are
-provided and cross-checked: Laplace-domain resolvent solves inverted
-numerically, uniformization of the forward equations, and exact stochastic
-simulation.
+provided and cross-checked: Laplace-domain resolvent solves (one batched
+level sweep per time grid) inverted numerically, uniformization of the
+forward equations, and exact stochastic simulation.
 """
 
 from .errors import (
@@ -32,6 +32,7 @@ from .laplace import (
     ResolventSystem,
     assemble_resolvent,
     solve_resolvent,
+    solve_resolvents,
     stationary_fvt,
     stationary_nullspace,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "ring_with_hub",
     "simulate_gillespie",
     "solve_resolvent",
+    "solve_resolvents",
     "stationary_fvt",
     "stationary_nullspace",
     "stehfest_coefficients",

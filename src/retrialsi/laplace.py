@@ -1,36 +1,41 @@
-"""Laplace-domain system M(s) = s I - Q: assembly, sparse LU solve, stationary vector.
+"""Laplace-domain system M(s) = s I - Q: a batched level sweep, and the stationary vector.
 
 The transformed state probabilities p*(s) = p0 (s I - Q)^(-1) solve the
-row-vector system x M(s) = p0, that is M(s)^T x^T = p0^T.  M(s) is kept as
-one CSR matrix and M(s)^T is factored by a sparse LU (SuperLU) on the first
-solve; the factorization is cached, so repeated solves at the same s are
-cheap.  Under the linear state ordering M(s) is block tridiagonal with c + 1
-square blocks of width N - c + 1:
+row-vector system x M(s) = p0, that is M(s)^T x^T = p0^T.  The equation of
+state (i, j) involves x only at its lattice neighbours:
 
-        [ A_0  B_0              ]
-        [ C_1  A_1  B_1         ]
-    M = [      C_2  A_2  ...    ]
-        [           ...    B_c-1]
-        [            C_c   A_c  ]
+    (s + d(i, j)) x(i, j) - a(i-1, j) x(i-1, j) - (i+1) mu x(i+1, j)
+        - r(i-1, j+1) x(i-1, j+1) - [i = c] a(c, j-1) x(c, j-1)  =  b(i, j)
 
-A_i is diagonal for i < c and upper bidiagonal for i = c (orbit arrivals);
-B_i is lower bidiagonal (arrivals on the diagonal, retrials below);
-C_i is diagonal (recoveries).
+with d the exit rate, a the arrival rate and r the retrial rate.  Grouped by
+orbit level j, a block of c + 1 states, each level couples to the level above
+through the retrials (one shifted diagonal) and to the level below through
+the single unknown x(c, j-1): the orbit grows only from (c, j-1).
+:func:`solve_resolvents` therefore eliminates the levels from j = N - c down
+to 0 (the linear level reduction of Gaver, Jacobs & Latouche, Adv. Appl.
+Prob. 16, 1984).  A level's Schur complement is tridiagonal plus one dense
+column (state c); one Thomas pass solves it, and its solution is affine in
+the one scalar x(c, j-1).  A back-substitution from j = 0 upward then
+recovers x.  The tridiagonal pivots do not depend on the levels above, so
+they are factored for all levels at once before the sweep.
 
-Every resolvent solve that leaves this module is refined and then
-residual-checked, both in longdouble, against Q with its diagonal recomputed
-as minus the off-diagonal row sums (built once per generator): near s = 0
-the solution has size 1/s, and a double-precision residual there is one
-rounding step, not a measurement.  The stationary vector solves the
-same kind of sparse system, pi Q = 0 with one balance equation replaced by
-sum(pi) = 1, after a structural check that the chain has exactly one closed
-class.
+The sweep performs the same operations for every shift s, so all the shifts
+of a time grid travel through it together as vectors.  It runs in longdouble
+without pivoting: M(s)^T is column diagonally dominant for s > 0, so every
+pivot is positive and elimination in any order is stable.  Every solution is
+residual-checked in longdouble against
+:attr:`~GeneratorMatrix.matrix_extended`: near s = 0 it has size 1/s, and a
+double-precision residual there is one rounding step, not a measurement.
+
+The stationary vector solves pi Q = 0 with one balance equation replaced by
+sum(pi) = 1, by sparse LU, after a structural check that the chain has
+exactly one closed class; it also serves generators without a lattice.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -38,13 +43,16 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, ModelError, NumericalError
-from .generator import GeneratorMatrix
+from .generator import GeneratorMatrix, _moves
 from .model import StateSpace
 from .transient import ProbabilityVector, Provenance
 
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-REFINE_STEPS = 2  # iterative-refinement steps per resolvent solve
-RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of a refined solve, in longdouble
+RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of every resolvent solve, in longdouble
+#: Largest dim * width of one sweep; more shifts than that run in chunks.  The
+#: sweep's working set is about four longdouble arrays of this many entries
+#: (64 MiB at the bound).
+SWEEP_ENTRIES = 2 ** 20
 
 
 def _sparse_lu(a: sparse.spmatrix, what: str):
@@ -55,21 +63,146 @@ def _sparse_lu(a: sparse.spmatrix, what: str):
         raise NumericalError(f"singular pivot in {what}: {exc}") from exc
 
 
-@dataclass(eq=False)
-class ResolventSystem:
-    """M(s) = s I - Q in CSR form, with a lazily cached sparse LU of M(s)^T.
+def _level_rates(gen: GeneratorMatrix):
+    """The rates of :attr:`~GeneratorMatrix.matrix_extended`, level-major.
 
-    ``s_extended`` keeps the abscissa to extended precision: the refinement
-    path must target s I - Q at the exact s, not its double rounding, or the
-    near-total cancellation in the inversion weights exposes the difference.
-    Refinement and the residual check measure against the generator's
-    :attr:`~GeneratorMatrix.matrix_extended`.
+    Returns ``(exit, arrival, recovery, retrial, orbit)``.  All but ``orbit``
+    have shape (N - c + 1, c + 1) and are indexed [j, i] by the state (i, j)
+    whose equation the rate enters:
+
+    - exit[j, i]      d(i, j), minus the diagonal of Q;
+    - arrival[j, i]   the rate (i-1, j) -> (i, j), 0 at i = 0;
+    - recovery[j, i]  the rate (i+1, j) -> (i, j), 0 at i = c;
+    - retrial[j, i]   the rate (i-1, j+1) -> (i, j), 0 at i = 0 and j = N - c;
+    - orbit[j]        the rate (c, j-1) -> (c, j), 0 at j = 0.
+    """
+    space = gen.space
+    if space is None:
+        raise ModelError("generator has no attached state space")
+    q = gen.matrix_extended
+    src, dst, family = _moves(space)
+    rate = np.asarray(q[src, dst]).ravel()
+    if np.count_nonzero(rate) != q.count_nonzero() - np.count_nonzero(q.diagonal()):
+        raise ModelError("generator has transitions off the lattice stencil")
+    c, width = space.c, space.width
+    by_source = np.zeros((4, c + 1, width), dtype=np.longdouble)  # [family, i, j] of the source
+    i, j = np.divmod(src, width)
+    by_source[family, i, j] = rate
+    exit_rate = np.ascontiguousarray(-q.diagonal().reshape(c + 1, width).T)
+    arrival, recovery, retrial = (np.zeros_like(exit_rate) for _ in range(3))
+    arrival[:, 1:] = by_source[0, :-1].T
+    recovery[:, :-1] = by_source[1, 1:].T
+    retrial[:-1, 1:] = by_source[2, :-1, 1:].T
+    orbit = np.zeros(width, dtype=np.longdouble)
+    orbit[1:] = by_source[3, c, :-1]
+    return exit_rate, arrival, recovery, retrial, orbit
+
+
+def _sweep(rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M(s)^T x = b for every shift in ``s`` by the level sweep.
+
+    ``b`` is level-major, [j, i]; the result is x[j, i, k] for shift s[k].
+    Each level's solution is kept as offset u and slope w, x_j = u_j + w_j
+    x(c, j-1).  For b >= 0 every quantity below is nonnegative, and the only
+    subtractions are in the pivots, which stay >= s.
+    """
+    exit_rate, arrival, recovery, retrial, orbit = rates
+    levels, units = exit_rate.shape
+    c = units - 1
+    # Thomas pivots of the tridiagonal part of every level.  mult[j, i] is the
+    # negated multiplier arrival / pivot of row i - 1.
+    pivot = exit_rate[:, :, None] + s
+    mult = np.empty_like(pivot)
+    for i in range(1, c):
+        mult[:, i] = arrival[:, i, None] / pivot[:, i - 1]
+        pivot[:, i] -= mult[:, i] * recovery[:, i - 1, None]
+    mult[:, c] = arrival[:, c, None] / pivot[:, c - 1]
+    last = pivot[:, c].copy()  # row c of each level, before its coupling to the level above
+    inv = np.reciprocal(pivot[:, :c], out=pivot[:, :c])
+
+    # sol[j, i, 0] is the slope w, sol[j, i, 1] the offset u
+    sol = np.zeros((levels, units, 2, s.size), dtype=np.longdouble)
+    for j in range(levels - 1, -1, -1):
+        # rows i < c: column c (entry (i, c) negated), then the right-hand side
+        z = sol[j, :c]
+        z[:, 1] = b[j, :c, None]
+        tail_c, rhs_c = 0.0, b[j, c]
+        if j + 1 < levels:  # retrials from the level above, (i-1, j+1) -> (i, j)
+            inflow = retrial[j, 1:, None, None] * sol[j + 1, :c]
+            z[1:] += inflow[:-1]
+            tail_c, rhs_c = inflow[-1, 0], rhs_c + inflow[-1, 1]
+        z[c - 1, 0] += recovery[j, c - 1]  # (c, j) -> (c-1, j) sits in column c too
+        mult_j, ratio_j = mult[j], recovery[j, :c - 1, None] * inv[j, :c - 1]
+        for i in range(1, c):
+            z[i] += mult_j[i] * z[i - 1]
+        top = sol[j, c]
+        denominator = last[j] - tail_c - mult[j, c] * z[c - 1, 0]
+        top[0] = orbit[j] / denominator
+        top[1] = (rhs_c + mult[j, c] * z[c - 1, 1]) / denominator
+        z *= inv[j][:, None]
+        z[:, 1] += z[:, 0] * top[1]
+        z[:, 0] *= top[0]
+        for i in range(c - 2, -1, -1):
+            z[i] += ratio_j[i] * z[i + 1]
+
+    x, slope = sol[:, :, 1], sol[:, :, 0]
+    for j in range(1, levels):
+        x[j] += slope[j] * x[j - 1, c]
+    return x
+
+
+def _solve_batch(gen: GeneratorMatrix, rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sweep at the shifts ``s``, as x[k, state]; every row residual-checked."""
+    levels, units = rates[0].shape
+    with np.errstate(all="ignore"):  # a zero or overflowing pivot shows in the residual
+        x = _sweep(rates, s, b.reshape(units, levels).T).transpose(1, 0, 2).reshape(gen.dim, -1)
+        r = gen.matrix_extended.T @ x
+        r += b[:, None]
+        residual = np.abs(np.subtract(x * s, r, out=r), out=r).max(axis=0)
+    worst = int(np.argmax(residual))  # the first NaN, if any
+    if not residual[worst] <= RESIDUAL_TOL:
+        raise NumericalError(f"resolvent solve residual {residual[worst]:.3e} exceeds "
+                             f"{RESIDUAL_TOL:.1e} at s={float(s[worst])}")
+    return x.T
+
+
+def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
+    """Solve x(s) (s I - Q) = rhs for every shift s, by the level sweep.
+
+    ``gen`` needs its state space; ``shifts`` is a 1-d array, best given in
+    longdouble, of positive shifts.  Returns an iterator over chunks
+    ``(columns, x)``: ``columns`` is a slice of ``shifts`` and row k of the
+    longdouble array ``x`` solves for the shift ``shifts[columns][k]``.  A
+    chunk holds at most SWEEP_ENTRIES // dim shifts (at least one).  Each
+    solution must meet RESIDUAL_TOL in longdouble, else NumericalError.
+    """
+    shifts = np.asarray(shifts, dtype=np.longdouble)
+    if shifts.ndim != 1:
+        raise DomainError(f"shifts must be a 1-d array, got shape {shifts.shape}")
+    if shifts.size and not shifts.min() > 0:
+        raise DomainError(f"Laplace variable s must be > 0, got {shifts.min()}")
+    b = np.asarray(rhs, dtype=np.longdouble)
+    if b.shape != (gen.dim,):
+        raise DomainError(f"right-hand side has shape {b.shape}, system dimension is {gen.dim}")
+    rates = _level_rates(gen)
+    width = max(1, SWEEP_ENTRIES // gen.dim)
+    chunks = (slice(k, k + width) for k in range(0, shifts.size, width))
+    return ((cols, _solve_batch(gen, rates, shifts[cols], b)) for cols in chunks)
+
+
+@dataclass(frozen=True, eq=False)
+class ResolventSystem:
+    """M(s) = s I - Q at one shift: a width-one view of :func:`solve_resolvents`.
+
+    ``s_extended`` keeps the abscissa to extended precision: solves must
+    target s I - Q at the exact s, not its double rounding, or the near-total
+    cancellation in the inversion weights exposes the difference.  ``matrix``
+    is M(s) in CSR form at the double rounding of s.
     """
 
     generator: GeneratorMatrix
     s_extended: np.longdouble
-    matrix: sparse.csr_matrix       # M(s) at the double rounding of s
-    _lu: object = field(default=None, repr=False)
+    matrix: sparse.csr_matrix
 
     @property
     def s(self) -> float:
@@ -87,44 +220,26 @@ class ResolventSystem:
         """M(s) as a dense array (equal to s I - Q entry by entry)."""
         return self.matrix.toarray()
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve x M = rhs for a row vector x (double precision)."""
-        if self._lu is None:
-            self._lu = _sparse_lu(self.matrix.T, f"M(s) at s={self.s}")
-        return self._lu.solve(np.asarray(rhs, dtype=float))
-
     def apply_transpose_extended(self, x: np.ndarray) -> np.ndarray:
         """(s_extended I - Q)^T x in longdouble, with the exact abscissa."""
         x = np.asarray(x, dtype=np.longdouble)
         return self.s_extended * x - self.generator.matrix_extended.T @ x
 
     def solve_refined(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve x M = rhs with iterative refinement; extended-precision result.
+        """Solve x M = rhs in longdouble by the level sweep, residual-checked.
 
-        Each of REFINE_STEPS steps recomputes the residual in longdouble
-        against the exact abscissa and corrects through the cached
-        double-precision factorization.  Needed by the inverse-transform
-        driver, whose alternating weights amplify solver noise.  The refined
-        solution must meet RESIDUAL_TOL in longdouble, else NumericalError.
+        The result is as accurate as an iteratively refined solve, whence the
+        name; it fails with NumericalError where RESIDUAL_TOL is not met.
         """
-        x = self.solve(rhs).astype(np.longdouble)
-        b = np.asarray(rhs, dtype=np.longdouble)
-        for _ in range(REFINE_STEPS):
-            r = b - self.apply_transpose_extended(x)
-            x = x + self.solve(r.astype(float))  # promoted to longdouble exactly
-        residual = float(np.abs(self.apply_transpose_extended(x) - b).max())
-        if not residual <= RESIDUAL_TOL:
-            raise NumericalError(
-                f"resolvent solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} at s={self.s}"
-            )
-        return x
+        ((_, x),) = solve_resolvents(self.generator, [self.s_extended], rhs)
+        return x[0]
 
 
 def assemble_resolvent(gen: GeneratorMatrix, s) -> ResolventSystem:
     """Form s I - Q as one sparse matrix.
 
     ``s`` may be a longdouble; the matrix is built at its double rounding
-    while the exact value is retained for refined solves.
+    while the exact value is retained for solves.
     """
     if s <= 0:
         raise DomainError(f"Laplace variable s must be > 0, got {s}")
@@ -147,16 +262,22 @@ class LaplaceSolution:
         return float(self.pstar.sum())
 
 
+def _distribution(p0: ProbabilityVector, dim: int) -> np.ndarray:
+    """The values of ``p0``, checked to be a probability distribution of length ``dim``."""
+    v = np.asarray(p0.values, dtype=float)
+    if v.size != dim:
+        raise DomainError(f"p0 has length {v.size}, system dimension is {dim}")
+    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
+        raise DomainError("p0 must be a probability distribution")
+    return v
+
+
 def solve_resolvent(system: ResolventSystem, p0: ProbabilityVector) -> LaplaceSolution:
     """Solve x M(s) = p0 by :meth:`ResolventSystem.solve_refined`.
 
-    ``pstar`` is the double rounding of the refined, residual-checked solution.
+    ``pstar`` is the double rounding of the residual-checked longdouble solution.
     """
-    v = np.asarray(p0.values, dtype=float)
-    if v.size != system.dim:
-        raise DomainError(f"p0 has length {v.size}, system dimension is {system.dim}")
-    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
-        raise DomainError("p0 must be a probability distribution")
+    v = _distribution(p0, system.dim)
     return LaplaceSolution(system.s, system.solve_refined(v).astype(float), system.space)
 
 
@@ -224,7 +345,9 @@ def stationary_fvt(gen: GeneratorMatrix, p0: ProbabilityVector,
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("s_grid must be strictly decreasing")
 
-    vectors = [s * solve_resolvent(assemble_resolvent(gen, s), p0).pstar for s in grid]
+    v = _distribution(p0, gen.dim)
+    solved = np.concatenate([x for _, x in solve_resolvents(gen, np.array(grid, dtype=np.longdouble), v)])
+    vectors = [s * x.astype(float) for s, x in zip(grid, solved)]
     diffs = [float(np.abs(b - a).max()) for a, b in zip(vectors, vectors[1:])]
     converged = bool(diffs and diffs[-1] <= tol)
     if not converged:

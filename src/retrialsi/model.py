@@ -8,6 +8,7 @@ is the pair ``(i, j)`` = (busy units, orbit occupancy).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -208,12 +209,12 @@ class ModelConfig:
         object.__setattr__(self, "closure", Closure(self.closure))
         object.__setattr__(self, "initial_state", tuple(self.initial_state))
         space = StateSpace(self.N, self.c)  # validates N, c
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if not self.mu > 0:
-            raise ConfigError(f"mu must be > 0, got {self.mu}")
-        if self.theta < 0:
-            raise ConfigError(f"theta must be >= 0, got {self.theta}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise ConfigError(f"mu must be finite and > 0, got {self.mu}")
+        if not (self.theta >= 0 and math.isfinite(self.theta)):
+            raise ConfigError(f"theta must be finite and >= 0, got {self.theta}")
         i0, j0 = self.initial_state
         if not space.contains(i0, j0):
             raise ConfigError(f"initial_state {self.initial_state} outside the state space")

@@ -33,6 +33,7 @@ TABLE_N = (10, 20, 40)
 TABLE_C = (5, 10, 15, 20)
 TABLE_TIMES = (0.5, 2.0, 5.0, 10.0, 20.0)
 GATE_TIMES = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+SCALE_GATE_TIMES = (0.5, 2.0, 5.0)
 
 
 def _line(ok, name, detail):
@@ -108,6 +109,30 @@ def test_criterion_ilt_oracle_equivalence():
     elapsed = time.perf_counter() - start
     ok = worst_entry <= 1e-4 and worst_moment <= 1e-4 and elapsed < 30.0
     _line(ok, "ILT vs uniformization hard gate",
+          f"entry {worst_entry:.2e} <= 1e-4, moments {worst_moment:.2e} <= 1e-4, "
+          f"{elapsed:.2f}s < 30s")
+    assert ok
+
+
+def test_ilt_oracle_equivalence_at_scale():
+    # the same 1e-4 gate on the c = N/2 rungs N = 100 and N = 200 of the ladder
+    start = time.perf_counter()
+    worst_entry = worst_moment = 0.0
+    for N in (100, 200):
+        for theta in (0.0, 2.0):
+            cfg, gen, p0 = _hom(N, N // 2, theta)
+            ilt = rs.transient_via_ilt(gen, p0, SCALE_GATE_TIMES)
+            oracle = rs.transient_grid(gen, p0, SCALE_GATE_TIMES)
+            for vec, exact in zip(ilt.vectors, oracle.vectors):
+                worst_entry = max(worst_entry, float(np.abs(vec.values - exact.values).max()))
+                worst_moment = max(
+                    worst_moment,
+                    abs(rs.moment_recovering(vec) - rs.moment_recovering(exact)),
+                    abs(rs.moment_orbit(vec) - rs.moment_orbit(exact)),
+                )
+    elapsed = time.perf_counter() - start
+    ok = worst_entry <= 1e-4 and worst_moment <= 1e-4 and elapsed < 30.0
+    _line(ok, "ILT vs uniformization gate at N = 100, 200",
           f"entry {worst_entry:.2e} <= 1e-4, moments {worst_moment:.2e} <= 1e-4, "
           f"{elapsed:.2f}s < 30s")
     assert ok

@@ -202,6 +202,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: solver.{key}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("body, flags, key", [
+        ("model: {N: 10, c: 5, alpha: .inf, mu: 0.4, theta: 2}\n", (), "alpha"),
+        ("model: {N: 10, c: 5, alpha: 5, mu: .nan, theta: 2}\n", (), "mu"),
+        ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: .inf}\n", (), "theta"),
+        (MODEL_YAML + "solver: {seed: -1}\n", (), "solver.seed"),
+        (MODEL_YAML, ("--seed", "-5"), "solver.seed"),
+        ("model: {N: 6.5, c: 3, alpha: 5, mu: 0.4, theta: 2}\n", (), "model.N"),
+        ("model: {N: true, c: 1, alpha: 5, mu: 0.4, theta: 2}\n", (), "model.N"),
+        (MODEL_YAML + "solver: {replicas: 1000.5}\n", (), "solver.replicas"),
+        (MODEL_YAML + "table: {c: [5, 2.5]}\n", (), "table.c"),
+        (MODEL_YAML + "times: {start: 0, stop: 1, step: 1.0e-300}\n", (), "times"),
+    ], ids=["infinite_alpha", "nan_mu", "infinite_theta", "negative_seed", "negative_seed_flag",
+            "fractional_N", "bool_N", "fractional_replicas", "fractional_table_c", "tiny_step"])
+    def test_unusable_value_fails_validation_and_every_method(self, tmp_path, capsys,
+                                                               body, flags, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(body + "outputs: [moments]\n")
+        runs = [["validate-config"]] + [["solve", "--method", m] for m in cli.METHODS]
+        for run in runs:
+            argv = [*run, "--config", str(path), *flags]
+            if run[0] == "solve":
+                argv += ["--out", str(tmp_path / "out")]
+            assert main(argv) == 2, run
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and key in err and "Traceback" not in err, run
+
     def test_model_error_is_exit_two(self, tmp_path, monkeypatch):
         def ill_posed(*args):
             raise ModelError("reducible chain")

@@ -132,6 +132,28 @@ class TestTransientViaIlt:
         rs.transient_via_ilt(gen, wellmixed_p0, [2.0], order=20)
         assert len(built) == 1
 
+    def test_grid_abscissae_deduplicated_by_exact_ratio(self, wellmixed_generator, wellmixed_p0):
+        # k ln2 / t repeats across the 0.5..9 grid: 228 of its 360 pairs (k, t) are distinct
+        times = np.arange(1, 19) * 0.5
+        sol = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, times)
+        assert sol.metadata["abscissae"] == 228
+        one_by_one = [rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [t]).vectors[0]
+                      for t in times[[0, 7, 17]]]
+        # equal ratios may round to abscissae an ulp apart, which the ~1e12 weights
+        # turn into ~1e-9 differences
+        for vec, single in zip([sol.vectors[k] for k in (0, 7, 17)], one_by_one):
+            assert np.abs(vec.values - single.values).max() <= 1e-8
+
+    def test_chunked_sweep_matches_one_batch(self, wellmixed_generator, wellmixed_p0, monkeypatch):
+        times = [0.5, 1.0, 1.5, 4.0]
+        whole = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, times)
+        monkeypatch.setattr(laplace, "SWEEP_ENTRIES", 7 * wellmixed_generator.dim)
+        chunked = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, times)
+        # the terms of one t arrive in a different order; at ~1e12 weights that
+        # moves the result by ~1e-9
+        for a, b in zip(whole.vectors, chunked.vectors):
+            assert np.abs(a.values - b.values).max() <= 1e-8
+
     def test_unmet_residual_bound_raises(self, wellmixed_generator, wellmixed_p0, monkeypatch):
         monkeypatch.setattr(laplace, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError, match="residual"):

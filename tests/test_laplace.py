@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import retrialsi as rs
-from retrialsi import GeneratorMatrix, ModelConfig
+from retrialsi import GeneratorMatrix, ModelConfig, laplace
 from retrialsi.errors import DomainError, ModelError
-from retrialsi.laplace import DEFAULT_S_GRID
+from retrialsi.laplace import DEFAULT_S_GRID, RESIDUAL_TOL, solve_resolvents
 
 SMALL_CONFIGS = [(2, 1), (10, 5), (20, 5), (20, 15)]  # all |state space| <= 100
 
@@ -105,7 +105,7 @@ class TestSolveResolvent:
 
     def test_refined_solve_consistent(self, wellmixed_generator, wellmixed_p0):
         sys_ = rs.assemble_resolvent(wellmixed_generator, 0.7)
-        x64 = sys_.solve(wellmixed_p0.values)
+        x64 = np.linalg.solve(sys_.to_dense().T, wellmixed_p0.values)
         xext = sys_.solve_refined(wellmixed_p0.values)
         assert xext.dtype == np.longdouble
         assert np.abs(xext.astype(float) - x64).max() <= 1e-12
@@ -117,6 +117,73 @@ class TestSolveResolvent:
         bad = rs.ProbabilityVector(np.full(36, 0.5), 0.0, "ilt", wellmixed_config.space)
         with pytest.raises(DomainError):
             rs.solve_resolvent(sys_, bad)
+
+
+def sweep_cases():
+    """The lattices at the edges of the level sweep, one pytest param each."""
+    het = ModelConfig(N=40, c=20, alpha=5.0, mu=0.4, theta=2.0,
+                      mode="heterogeneous", tagged_node=2)
+    cases = {"theta_0": make_gen(40, 20, theta=0.0)[1], "c_1": make_gen(40, 1)[1],
+             "c_N-1": make_gen(40, 39)[1], "N_2": make_gen(2, 1)[1],
+             "ring_with_hub": rs.build_generator(het, rs.rate_function(het, rs.ring_with_hub(40)))}
+    return [pytest.param(gen, id=name) for name, gen in cases.items()]
+
+
+class TestLevelSweep:
+    SHIFTS = np.array([1e-6, 1e-3, 1.0, 40.0], dtype=np.longdouble)
+
+    @pytest.mark.parametrize("N,c", SMALL_CONFIGS + [(20, 1), (20, 19)])
+    def test_matches_dense_solve(self, N, c):
+        _, gen = make_gen(N, c)
+        rhs = np.random.default_rng(N * 100 + c).normal(size=gen.dim)  # signed, not a distribution
+        shifts = (0.05, 1.0, 10.0, 300.0)
+        ((cols, x),) = solve_resolvents(gen, np.array(shifts, dtype=np.longdouble), rhs)
+        assert cols.start == 0 and x.shape == (len(shifts), gen.dim) and x.dtype == np.longdouble
+        for s, row in zip(shifts, x):
+            dense = np.linalg.solve(rs.assemble_resolvent(gen, s).to_dense().T, rhs)
+            assert np.abs(row.astype(float) - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+
+    @pytest.mark.parametrize("gen", sweep_cases())
+    def test_residual_bound_on_every_column(self, gen):
+        p0 = np.zeros(gen.dim)
+        p0[0] = 1.0
+        solved = 0
+        for cols, x in solve_resolvents(gen, self.SHIFTS, p0):
+            for s, row in zip(self.SHIFTS[cols], x):
+                residual = s * row - gen.matrix_extended.T @ row - p0
+                assert np.abs(residual).max() <= RESIDUAL_TOL, s
+                assert abs(float(s * row.sum()) - 1.0) <= 1e-10, s
+                solved += 1
+        assert solved == self.SHIFTS.size
+
+    def test_chunks_agree_with_one_batch(self, wellmixed_generator, wellmixed_p0, monkeypatch):
+        shifts = np.linspace(0.1, 5.0, 7).astype(np.longdouble)
+        ((_, whole),) = solve_resolvents(wellmixed_generator, shifts, wellmixed_p0.values)
+        monkeypatch.setattr(laplace, "SWEEP_ENTRIES", 3 * wellmixed_generator.dim)
+        chunks = list(solve_resolvents(wellmixed_generator, shifts, wellmixed_p0.values))
+        assert [len(x) for _, x in chunks] == [3, 3, 1]
+        for cols, x in chunks:
+            assert np.abs(x - whole[cols]).max() <= 1e-15 * np.abs(whole).max()
+
+    def test_width_one_view(self, wellmixed_generator, wellmixed_p0):
+        system = rs.assemble_resolvent(wellmixed_generator, np.longdouble(2) / 3)
+        ((_, x),) = solve_resolvents(wellmixed_generator, [system.s_extended], wellmixed_p0.values)
+        assert np.array_equal(system.solve_refined(wellmixed_p0.values), x[0])
+
+    def test_invalid_input_rejected(self, wellmixed_generator, wellmixed_p0):
+        v = wellmixed_p0.values
+        for shifts in ([1.0, 0.0], [-1.0], [[1.0]]):
+            with pytest.raises(DomainError):
+                solve_resolvents(wellmixed_generator, shifts, v)
+        with pytest.raises(DomainError):
+            solve_resolvents(wellmixed_generator, [1.0], v[:-1])
+        with pytest.raises(ModelError):  # no lattice
+            solve_resolvents(GeneratorMatrix(wellmixed_generator.matrix), [1.0], v)
+        off = wellmixed_generator.toarray()
+        off[0, 0] -= 1.0
+        off[0, -1] = 1.0  # a jump the lattice stencil does not have
+        with pytest.raises(ModelError, match="stencil"):
+            solve_resolvents(GeneratorMatrix.from_dense(off, wellmixed_generator.space), [1.0], v)
 
 
 class TestStationaryNullspace:
