@@ -14,8 +14,7 @@ thread, and reports:
 - the number of distinct abscissae the grid needs, and the child's peak RSS
   (the grid run dominates it).
 
-``--src`` points at another checkout's ``src`` to measure it the same way;
-``--max-grid-n`` skips the grid columns above that N, for slow checkouts.
+``--src`` points at another checkout's ``src`` to measure it the same way.
 The script uses only the standard library and numpy besides retrialsi.
 """
 
@@ -34,7 +33,7 @@ RUNGS = (10, 40, 100, 200, 400)
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def rung(n: int, with_grid: bool) -> dict:
+def rung(n: int) -> dict:
     """Measure one rung in this process."""
     import resource
 
@@ -57,16 +56,14 @@ def rung(n: int, with_grid: bool) -> dict:
 
     ilt5, ilt5_s = timed(rs.transient_via_ilt, gen, p0, [5.0])
     unif5, unif5_s = timed(rs.transient_grid, gen, p0, [5.0])
-    row = {"N": n, "c": n // 2, "states": gen.dim, "ilt_t5_s": ilt5_s, "unif_t5_s": unif5_s,
-           "oracle_err_t5": worst(ilt5.vectors, unif5.vectors)}
-    if with_grid:
-        ilt, ilt_s = timed(rs.transient_via_ilt, gen, p0, grid)
-        unif, unif_s = timed(rs.transient_grid, gen, p0, grid)
-        row.update(ilt_grid_s=ilt_s, unif_grid_s=unif_s,
-                   oracle_err_grid=worst(ilt.vectors, unif.vectors),
-                   grid_abscissae=ilt.metadata.get("abscissae"))
-    row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return row
+    ilt, ilt_s = timed(rs.transient_via_ilt, gen, p0, grid)
+    unif, unif_s = timed(rs.transient_grid, gen, p0, grid)
+    return {"N": n, "c": n // 2, "states": gen.dim, "ilt_t5_s": ilt5_s, "unif_t5_s": unif5_s,
+            "oracle_err_t5": worst(ilt5.vectors, unif5.vectors),
+            "ilt_grid_s": ilt_s, "unif_grid_s": unif_s,
+            "oracle_err_grid": worst(ilt.vectors, unif.vectors),
+            "grid_abscissae": ilt.metadata.get("abscissae"),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def main(argv=None) -> int:
@@ -74,23 +71,22 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="the retrialsi source tree to time")
     parser.add_argument("--into", help="JSON file to add the ladder to (created if missing)")
     parser.add_argument("--key", default="ladder", help="key of the ladder in that file")
-    parser.add_argument("--max-grid-n", type=int, default=max(RUNGS))
     parser.add_argument("--rung", type=int, help=argparse.SUPPRESS)  # child mode
     args = parser.parse_args(argv)
 
     if args.rung is not None:
-        print(json.dumps(rung(args.rung, args.rung <= args.max_grid_n)))
+        print(json.dumps(rung(args.rung)))
         return 0
 
     env = {**os.environ, **THREADS, "PYTHONPATH": args.src}
     rows = []
     for n in RUNGS:
         child = subprocess.run(
-            [sys.executable, __file__, "--rung", str(n), "--max-grid-n", str(args.max_grid_n)],
+            [sys.executable, __file__, "--rung", str(n)],
             env=env, capture_output=True, text=True, check=True)
         rows.append(json.loads(child.stdout.strip().splitlines()[-1]))
         print(json.dumps(rows[-1]), file=sys.stderr)
-    ladder = {"src": args.src, "settings": "c = N/2, alpha=5, mu=0.4, theta=2, start (0,0), "
+    ladder = {"settings": "c = N/2, alpha=5, mu=0.4, theta=2, start (0,0), "
               "K=20, grid t = 0.5..9 step 0.5, one thread, one run per rung", "rows": rows}
     if args.into:
         path = Path(args.into)

@@ -32,7 +32,6 @@ from .laplace import (
     ResolventSystem,
     assemble_resolvent,
     solve_resolvent,
-    solve_resolvents,
     stationary_fvt,
     stationary_nullspace,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "ring_with_hub",
     "simulate_gillespie",
     "solve_resolvent",
-    "solve_resolvents",
     "stationary_fvt",
     "stationary_nullspace",
     "stehfest_coefficients",

@@ -50,9 +50,10 @@ from .transient import ProbabilityVector, Provenance
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of every resolvent solve, in longdouble
 #: Largest dim * width of one sweep; more shifts than that run in chunks.  The
-#: sweep's working set is about four longdouble arrays of this many entries
-#: (64 MiB at the bound).
-SWEEP_ENTRIES = 2 ** 20
+#: sweep's working set is a few longdouble arrays of this many entries (4 MiB
+#: each at the bound).  2**18 is the smallest power of two that holds N = 200
+#: at one time point (10,201 states x 20 shifts) in one chunk.
+SWEEP_ENTRIES = 2 ** 18
 
 
 def _sparse_lu(a: sparse.spmatrix, what: str):
