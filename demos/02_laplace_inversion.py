@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 import retrialsi as rs
+from retrialsi.laplace import solve_resolvents
 
 weights = rs.stehfest_coefficients(14)
 print(f"order 14 weights: min {weights.values.min():.3e}, max {weights.values.max():.3e}, "
@@ -46,8 +47,8 @@ print(f"\n{ilt.metadata['abscissae']} distinct abscissae for {len(times)} x 20 p
 print("raw mass deviations before renormalization:",
       ", ".join(f"{d:.1e}" for d in ilt.metadata["raw_sum_deviation"]))
 
-# a single resolvent solve, dissected
-system = rs.assemble_resolvent(gen, s=1.0)
-sol = rs.solve_resolvent(system, p0)
-print(f"\nresolvent at s=1: sum p*(s) = {sol.total:.12f} (expect 1/s = 1), "
-      f"p*_(0,0) = {sol.pstar[0]:.6f}")
+# a single resolvent solve, dissected: the level sweep at one shift
+((_, x),) = solve_resolvents(gen, [1.0], p0.values)  # one chunk, one row per shift
+pstar = x[0].astype(float)
+print(f"\nresolvent at s=1: sum p*(s) = {pstar.sum():.12f} (expect 1/s = 1), "
+      f"p*_(0,0) = {pstar[0]:.6f}")

@@ -28,10 +28,6 @@ from .inversion import (
 )
 from .laplace import (
     FvtResult,
-    LaplaceSolution,
-    ResolventSystem,
-    assemble_resolvent,
-    solve_resolvent,
     stationary_fvt,
     stationary_nullspace,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "FvtResult",
     "GeneratorMatrix",
     "GraphFormatError",
-    "LaplaceSolution",
     "MarginalReport",
     "Mode",
     "ModelConfig",
@@ -91,7 +86,6 @@ __all__ = [
     "NumericalError",
     "ProbabilityVector",
     "Provenance",
-    "ResolventSystem",
     "RetrialSIError",
     "StateSpace",
     "StehfestWeights",
@@ -100,7 +94,6 @@ __all__ = [
     "ValidationReport",
     "arrival_rate_het",
     "arrival_rate_hom",
-    "assemble_resolvent",
     "build_generator",
     "delta_vector",
     "graph_to_text",
@@ -115,7 +108,6 @@ __all__ = [
     "rate_function",
     "ring_with_hub",
     "simulate_gillespie",
-    "solve_resolvent",
     "stationary_fvt",
     "stationary_nullspace",
     "stehfest_coefficients",

@@ -119,6 +119,14 @@ def _integer(value, label):
         return int(value)
 
 
+def _number(value, label):
+    """``value`` as a float; a bool is an error, not taken as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
+    with _malformed(label):
+        return float(value)
+
+
 def _section(mapping, key):
     section = mapping.get(key) or {}
     if not isinstance(section, dict):
@@ -134,8 +142,7 @@ def _parse_times(value, label):
         missing = {"start", "stop", "step"} - set(value)
         if missing:
             raise ConfigError(f"{label}: missing keys {sorted(missing)}")
-        with _malformed(label):
-            start, stop, step = float(value["start"]), float(value["stop"]), float(value["step"])
+        start, stop, step = (_number(value[k], f"{label}.{k}") for k in ("start", "stop", "step"))
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise ConfigError(f"{label}: start, stop and step must be finite")
         if step <= 0:
@@ -147,6 +154,8 @@ def _parse_times(value, label):
         value = np.round(np.arange(start, stop + step / 2.0, step), 12)
     elif not isinstance(value, (list, tuple)):
         raise ConfigError(f"{label}: expected a list or {{start, stop, step}}")
+    else:
+        value = [_number(t, label) for t in value]
     with _malformed(label):
         return time_grid(value)
 
@@ -182,17 +191,20 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         _integer(model_map["tagged_node"], "model.tagged_node") if "tagged_node" in model_map
         else (2 if str(model_map.get("mode", "")).lower() == "heterogeneous" else None)
     )
+    with _malformed("model.initial_state"):
+        initial_state = tuple(_integer(v, "model.initial_state")
+                              for v in model_map.get("initial_state", (0, 0)))
     with _malformed("model"):
         model = ModelConfig(
             N=n_nodes,
             c=units,
-            alpha=float(model_map.get("alpha", 0.0)),
-            mu=float(model_map.get("mu", 0.0)),
-            theta=float(model_map.get("theta", 0.0)),
+            alpha=_number(model_map.get("alpha", 0.0), "model.alpha"),
+            mu=_number(model_map.get("mu", 0.0), "model.mu"),
+            theta=_number(model_map.get("theta", 0.0), "model.theta"),
             mode=str(model_map.get("mode", "homogeneous")).lower(),
             tagged_node=tagged_node,
             closure=str(model_map.get("closure", "mean_field")).lower(),
-            initial_state=tuple(model_map.get("initial_state", (0, 0))),
+            initial_state=initial_state,
         )
 
     graph = None
@@ -211,12 +223,10 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     method = str(method_override or solver_map.get("method", "ilt")).lower()
     if method not in METHODS:
         raise ConfigError(f"solver.method: must be one of {METHODS}, got {method!r}")
-    with _malformed("solver.eps"):
-        eps = float(solver_map.get("eps", 1e-10))
     solver = SolverSettings(
         method=method,
         order=_integer(solver_map.get("K", DEFAULT_CHAIN_ORDER), "solver.K"),
-        eps=eps,
+        eps=_number(solver_map.get("eps", 1e-10), "solver.eps"),
         replicas=_integer(solver_map.get("replicas", 100_000), "solver.replicas"),
         seed=_integer(seed_override if seed_override is not None else solver_map.get("seed", 0),
                       "solver.seed"),
@@ -248,7 +258,8 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         table_c = tuple(_integer(c, "table.c") for c in table_map.get("c", DEFAULT_TABLE_C))
     table_times = _parse_times(table_map.get("times", DEFAULT_TABLE_TIMES), "table.times")
     with _malformed("sweep.thetas"):
-        sweep_thetas = tuple(float(t) for t in sweep_map.get("thetas", DEFAULT_SWEEP_THETAS))
+        sweep_thetas = tuple(_number(t, "sweep.thetas")
+                             for t in sweep_map.get("thetas", DEFAULT_SWEEP_THETAS))
     if any(th < 0 for th in sweep_thetas):
         raise ConfigError("sweep.thetas: must be nonnegative")
 

@@ -30,6 +30,8 @@ double-precision residual there is one rounding step, not a measurement.
 The stationary vector solves pi Q = 0 with one balance equation replaced by
 sum(pi) = 1, by sparse LU, after a structural check that the chain has
 exactly one closed class; it also serves generators without a lattice.
+:func:`stationary_fvt` approaches the same vector as the final-value limit
+s p*(s), through :func:`solve_resolvents`, the one resolvent entry point.
 """
 
 from __future__ import annotations
@@ -44,24 +46,16 @@ from scipy.sparse.linalg import splu
 
 from .errors import DomainError, ModelError, NumericalError
 from .generator import GeneratorMatrix, _moves
-from .model import StateSpace
 from .transient import ProbabilityVector, Provenance
 
-DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # decreasing shifts of stationary_fvt
+FVT_TOL = 1e-5  # max-norm step between the last two grid points that counts as converged
 RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of every resolvent solve, in longdouble
 #: Largest dim * width of one sweep; more shifts than that run in chunks.  The
 #: sweep's working set is a few longdouble arrays of this many entries (4 MiB
 #: each at the bound).  2**18 is the smallest power of two that holds N = 200
 #: at one time point (10,201 states x 20 shifts) in one chunk.
 SWEEP_ENTRIES = 2 ** 18
-
-
-def _sparse_lu(a: sparse.spmatrix, what: str):
-    """Sparse LU of A, for solves A x = b; an exactly singular pivot is a NumericalError."""
-    try:
-        return splu(sparse.csc_matrix(a))
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NumericalError(f"singular pivot in {what}: {exc}") from exc
 
 
 def _level_rates(gen: GeneratorMatrix):
@@ -191,97 +185,6 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     return ((cols, _solve_batch(gen, rates, shifts[cols], b)) for cols in chunks)
 
 
-@dataclass(frozen=True, eq=False)
-class ResolventSystem:
-    """M(s) = s I - Q at one shift: a width-one view of :func:`solve_resolvents`.
-
-    ``s_extended`` keeps the abscissa to extended precision: solves must
-    target s I - Q at the exact s, not its double rounding, or the near-total
-    cancellation in the inversion weights exposes the difference.  ``matrix``
-    is M(s) in CSR form at the double rounding of s.
-    """
-
-    generator: GeneratorMatrix
-    s_extended: np.longdouble
-    matrix: sparse.csr_matrix
-
-    @property
-    def s(self) -> float:
-        return float(self.s_extended)
-
-    @property
-    def space(self) -> StateSpace:
-        return self.generator.space
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        """M(s) as a dense array (equal to s I - Q entry by entry)."""
-        return self.matrix.toarray()
-
-    def apply_transpose_extended(self, x: np.ndarray) -> np.ndarray:
-        """(s_extended I - Q)^T x in longdouble, with the exact abscissa."""
-        x = np.asarray(x, dtype=np.longdouble)
-        return self.s_extended * x - self.generator.matrix_extended.T @ x
-
-    def solve_refined(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve x M = rhs in longdouble by the level sweep, residual-checked.
-
-        The result is as accurate as an iteratively refined solve, whence the
-        name; it fails with NumericalError where RESIDUAL_TOL is not met.
-        """
-        ((_, x),) = solve_resolvents(self.generator, [self.s_extended], rhs)
-        return x[0]
-
-
-def assemble_resolvent(gen: GeneratorMatrix, s) -> ResolventSystem:
-    """Form s I - Q as one sparse matrix.
-
-    ``s`` may be a longdouble; the matrix is built at its double rounding
-    while the exact value is retained for solves.
-    """
-    if s <= 0:
-        raise DomainError(f"Laplace variable s must be > 0, got {s}")
-    if gen.space is None:
-        raise ModelError("generator has no attached state space")
-    matrix = (sparse.identity(gen.dim, format="csr") * float(s) - gen.matrix).tocsr()
-    return ResolventSystem(gen, np.longdouble(s), matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class LaplaceSolution:
-    """Transformed state probabilities p*(s) = p0 (s I - Q)^(-1)."""
-
-    s: float
-    pstar: np.ndarray
-    space: StateSpace | None = None
-
-    @property
-    def total(self) -> float:
-        return float(self.pstar.sum())
-
-
-def _distribution(p0: ProbabilityVector, dim: int) -> np.ndarray:
-    """The values of ``p0``, checked to be a probability distribution of length ``dim``."""
-    v = np.asarray(p0.values, dtype=float)
-    if v.size != dim:
-        raise DomainError(f"p0 has length {v.size}, system dimension is {dim}")
-    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
-        raise DomainError("p0 must be a probability distribution")
-    return v
-
-
-def solve_resolvent(system: ResolventSystem, p0: ProbabilityVector) -> LaplaceSolution:
-    """Solve x M(s) = p0 by :meth:`ResolventSystem.solve_refined`.
-
-    ``pstar`` is the double rounding of the residual-checked longdouble solution.
-    """
-    v = _distribution(p0, system.dim)
-    return LaplaceSolution(system.s, system.solve_refined(v).astype(float), system.space)
-
-
 def _closed_classes(q: sparse.csr_matrix) -> int:
     """Number of closed communicating classes of the transition graph of Q."""
     n_classes, labels = connected_components(q, directed=True, connection="strong")
@@ -313,7 +216,10 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
     system = sparse.vstack([balance[:-1], normalization])
     rhs = np.zeros(gen.dim)
     rhs[-1] = 1.0
-    pi = _sparse_lu(system, "the stationary system").solve(rhs)
+    try:
+        pi = splu(sparse.csc_matrix(system)).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"singular pivot in the stationary system: {exc}") from exc
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = float(np.abs(q.T @ pi).max())
@@ -332,25 +238,23 @@ class FvtResult:
     converged: bool
 
 
-def stationary_fvt(gen: GeneratorMatrix, p0: ProbabilityVector,
-                   s_grid=DEFAULT_S_GRID, tol: float = 1e-5) -> FvtResult:
-    """Approach the stationary vector as lim_{s -> 0} s P*(s).
+def stationary_fvt(gen: GeneratorMatrix, p0: ProbabilityVector) -> FvtResult:
+    """Approach the stationary vector as lim_{s -> 0} s P*(s) along DEFAULT_S_GRID.
 
     The limit needs the s factor: the plain transform satisfies
     sum P*(s) = 1 / s and diverges as s -> 0.  Convergence is judged by the
-    max-norm difference between consecutive grid points.
+    max-norm difference between consecutive grid points, against FVT_TOL.
     """
-    grid = tuple(float(s) for s in s_grid)
-    if len(grid) == 0 or any(s <= 0 for s in grid):
-        raise DomainError("s_grid must contain positive values")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("s_grid must be strictly decreasing")
-
-    v = _distribution(p0, gen.dim)
+    grid = DEFAULT_S_GRID
+    v = np.asarray(p0.values, dtype=float)
+    if v.size != gen.dim:
+        raise DomainError(f"p0 has length {v.size}, system dimension is {gen.dim}")
+    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
+        raise DomainError("p0 must be a probability distribution")
     solved = np.concatenate([x for _, x in solve_resolvents(gen, np.array(grid, dtype=np.longdouble), v)])
     vectors = [s * x.astype(float) for s, x in zip(grid, solved)]
     diffs = [float(np.abs(b - a).max()) for a, b in zip(vectors, vectors[1:])]
-    converged = bool(diffs and diffs[-1] <= tol)
+    converged = bool(diffs and diffs[-1] <= FVT_TOL)
     if not converged:
         warnings.warn(
             f"final-value limit not converged on the s grid (last diff "

@@ -107,11 +107,9 @@ class TransientSolution:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size != len(self.vectors):
+        t = time_grid(self.times)
+        if t.size != len(self.vectors):
             raise DomainError("times and vectors must align one to one")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise DomainError("time grid must be strictly increasing")
         sizes = {v.values.size for v in self.vectors}
         if len(sizes) > 1:
             raise DomainError("all vectors must live on the same state space")

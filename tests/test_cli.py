@@ -213,8 +213,19 @@ class TestExitCodes:
         (MODEL_YAML + "solver: {replicas: 1000.5}\n", (), "solver.replicas"),
         (MODEL_YAML + "table: {c: [5, 2.5]}\n", (), "table.c"),
         (MODEL_YAML + "times: {start: 0, stop: 1, step: 1.0e-300}\n", (), "times"),
+        ("model: {N: 10, c: 5, alpha: true, mu: 0.4, theta: 2}\n", (), "model.alpha"),
+        ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: false}\n", (), "model.theta"),
+        (MODEL_YAML + "times: [true, 2.0]\n", (), "times"),
+        (MODEL_YAML + "times: {start: false, stop: 1, step: 0.5}\n", (), "times.start"),
+        (MODEL_YAML + "sweep: {thetas: [true, 0]}\n", (), "sweep.thetas"),
+        ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, initial_state: [1.5, 0]}\n", (),
+         "model.initial_state"),
+        ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, initial_state: [true, 0]}\n", (),
+         "model.initial_state"),
     ], ids=["infinite_alpha", "nan_mu", "infinite_theta", "negative_seed", "negative_seed_flag",
-            "fractional_N", "bool_N", "fractional_replicas", "fractional_table_c", "tiny_step"])
+            "fractional_N", "bool_N", "fractional_replicas", "fractional_table_c", "tiny_step",
+            "bool_alpha", "bool_theta", "bool_time", "bool_range_start", "bool_sweep_theta",
+            "fractional_initial_state", "bool_initial_state"])
     def test_unusable_value_fails_validation_and_every_method(self, tmp_path, capsys,
                                                                body, flags, key):
         path = tmp_path / "cfg.yaml"

@@ -14,109 +14,125 @@ def make_gen(N, c, theta=2.0):
     return cfg, rs.build_generator(cfg, rs.rate_function(cfg))
 
 
-def block(system, i, j):
-    """Block (i, j) of M(s), as a dense array."""
-    w = system.space.width
-    return system.matrix[i * w:(i + 1) * w, j * w:(j + 1) * w].toarray()
+def resolvent(gen, s):
+    """M(s) = s I - Q as a dense array."""
+    return s * np.eye(gen.dim) - gen.toarray()
+
+
+def block(m, w, i, j):
+    """Block (i, j) of the dense M(s), for blocks of width w."""
+    return m[i * w:(i + 1) * w, j * w:(j + 1) * w]
+
+
+def solve(gen, shifts, rhs):
+    """The level sweep's x(s) at every shift, one longdouble row each."""
+    return np.concatenate([x for _, x in solve_resolvents(gen, shifts, rhs)])
+
+
+def resolvent_from_rates(gen, s):
+    """M(s) in longdouble, rebuilt from the level sweep's rates alone."""
+    exit_rate, arrival, recovery, retrial, orbit = laplace._level_rates(gen)
+    w, c = gen.space.width, gen.space.c
+    j, i = np.indices(exit_rate.shape)
+    state = i * w + j  # [j, i]: the state whose equation the rate enters
+    m = np.zeros((gen.dim, gen.dim), dtype=np.longdouble)
+    m[state, state] = s + exit_rate
+    m[state[:, 1:] - w, state[:, 1:]] = -arrival[:, 1:]  # from (i-1, j)
+    m[state[:, :-1] + w, state[:, :-1]] = -recovery[:, :-1]  # from (i+1, j)
+    m[state[:-1, 1:] - w + 1, state[:-1, 1:]] = -retrial[:-1, 1:]  # from (i-1, j+1)
+    m[state[:-1, c], state[1:, c]] = -orbit[1:]  # from (c, j-1)
+    return m
 
 
 class TestAssemble:
+    """The structure of M(s), and the rates the level sweep reads it from."""
+
     def test_tiny_blocks_by_hand(self, tiny_generator):
         # N=2, c=1: lambda(0,0)=5, lambda(0,1)=2.5, lambda(1,0)=2.5
-        sys_ = rs.assemble_resolvent(tiny_generator, s=1.0)
-        np.testing.assert_allclose(block(sys_, 1, 0), np.diag([-0.4, -0.4]))
-        np.testing.assert_allclose(block(sys_, 0, 1), [[-5.0, 0.0], [-2.0, -2.5]])
-        np.testing.assert_allclose(block(sys_, 0, 0), np.diag([1.0 + 5.0, 1.0 + 2.5 + 2.0]))
+        m, w = resolvent(tiny_generator, 1.0), tiny_generator.space.width
+        np.testing.assert_allclose(block(m, w, 1, 0), np.diag([-0.4, -0.4]))
+        np.testing.assert_allclose(block(m, w, 0, 1), [[-5.0, 0.0], [-2.0, -2.5]])
+        np.testing.assert_allclose(block(m, w, 0, 0), np.diag([1.0 + 5.0, 1.0 + 2.5 + 2.0]))
         # top orbit row: arrival to orbit leaves (1,0); nothing leaves (1,1) but recovery
-        np.testing.assert_allclose(block(sys_, 1, 1),
+        np.testing.assert_allclose(block(m, w, 1, 1),
                                    [[1.0 + 2.5 + 0.4, -2.5], [0.0, 1.0 + 0.4]])
 
-    @pytest.mark.parametrize("N,c", SMALL_CONFIGS[1:])
+    @pytest.mark.parametrize("N,c", SMALL_CONFIGS)
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_blocks_reassemble_exactly(self, N, c, s):
         _, gen = make_gen(N, c)
-        sys_ = rs.assemble_resolvent(gen, s)
-        m = s * np.eye(gen.dim) - gen.toarray()
-        assert np.array_equal(sys_.to_dense(), m)
+        m = s * np.eye(gen.dim, dtype=np.longdouble) - gen.matrix_extended.toarray()
+        assert np.array_equal(resolvent_from_rates(gen, s), m)
 
     def test_block_shapes(self):
         cfg, gen = make_gen(10, 5)
-        sys_ = rs.assemble_resolvent(gen, 1.0)
+        m = resolvent(gen, 1.0)
         w = cfg.space.width
         c = cfg.space.c
         for i in range(c):
-            a = block(sys_, i, i)
+            a = block(m, w, i, i)
             assert np.count_nonzero(a - np.diag(np.diag(a))) == 0, f"A_{i} not diagonal"
-        a_c = block(sys_, c, c)
+        a_c = block(m, w, c, c)
         assert np.count_nonzero(np.tril(a_c, -1)) == 0
         assert np.count_nonzero(np.triu(a_c, 2)) == 0
         for i in range(c):
-            b = block(sys_, i, i + 1)
+            b = block(m, w, i, i + 1)
             assert np.count_nonzero(np.triu(b, 1)) == 0
             assert np.count_nonzero(np.tril(b, -2)) == 0
         for i in range(1, c + 1):
-            np.testing.assert_allclose(block(sys_, i, i - 1), -i * cfg.mu * np.eye(w))
+            np.testing.assert_allclose(block(m, w, i, i - 1), -i * cfg.mu * np.eye(w))
 
-    def test_systems_share_extended_operator(self, wellmixed_generator):
-        a = rs.assemble_resolvent(wellmixed_generator, 0.5)
-        b = rs.assemble_resolvent(wellmixed_generator, np.longdouble(2) / 3)
-        assert a.generator.matrix_extended is b.generator.matrix_extended
-        assert a.space is wellmixed_generator.space and a.dim == wellmixed_generator.dim
-        assert a.s == 0.5 and b.s == float(np.longdouble(2) / 3)
-        assert b.s_extended == np.longdouble(2) / 3
-
-    def test_nonpositive_s_rejected(self, wellmixed_generator):
+    def test_nonpositive_s_rejected(self, wellmixed_generator, wellmixed_p0):
         for s in (0.0, -1.0):
             with pytest.raises(DomainError):
-                rs.assemble_resolvent(wellmixed_generator, s)
+                solve_resolvents(wellmixed_generator, [s], wellmixed_p0.values)
 
 
 class TestSolveResolvent:
+    """p*(s) = p0 (s I - Q)^(-1) from the level sweep, against dense algebra."""
+
     @pytest.mark.parametrize("N,c", SMALL_CONFIGS)
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_block_solve_matches_dense(self, N, c, s):
         cfg, gen = make_gen(N, c)
         p0 = rs.delta_vector(cfg.space, (0, 0))
-        sys_ = rs.assemble_resolvent(gen, s)
-        sol = rs.solve_resolvent(sys_, p0)
-        dense = np.linalg.solve(sys_.to_dense().T, p0.values)
-        assert np.abs(sol.pstar - dense).max() <= 1e-10
+        (pstar,) = solve(gen, [s], p0.values).astype(float)
+        dense = np.linalg.solve(resolvent(gen, s).T, p0.values)
+        assert np.abs(pstar - dense).max() <= 1e-10
 
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_total_transform_mass(self, wellmixed_generator, wellmixed_p0, s):
-        sol = rs.solve_resolvent(rs.assemble_resolvent(wellmixed_generator, s), wellmixed_p0)
-        assert abs(s * sol.total - 1.0) <= 1e-10
+        (pstar,) = solve(wellmixed_generator, [s], wellmixed_p0.values).astype(float)
+        assert abs(s * pstar.sum() - 1.0) <= 1e-10
 
     def test_large_s_initial_value(self, wellmixed_generator, wellmixed_p0):
         s = 1e6
-        sol = rs.solve_resolvent(rs.assemble_resolvent(wellmixed_generator, s), wellmixed_p0)
-        assert np.abs(s * sol.pstar - wellmixed_p0.values).max() <= 1e-4
+        (pstar,) = solve(wellmixed_generator, [s], wellmixed_p0.values).astype(float)
+        assert np.abs(s * pstar - wellmixed_p0.values).max() <= 1e-4
 
     def test_resolvent_identity(self, wellmixed_generator, wellmixed_p0):
         s = 1.0
-        sol = rs.solve_resolvent(rs.assemble_resolvent(wellmixed_generator, s), wellmixed_p0)
-        residual = s * sol.pstar - sol.pstar @ wellmixed_generator.toarray() - wellmixed_p0.values
+        (pstar,) = solve(wellmixed_generator, [s], wellmixed_p0.values).astype(float)
+        residual = s * pstar - pstar @ wellmixed_generator.toarray() - wellmixed_p0.values
         assert np.abs(residual).max() <= 1e-10
 
     def test_transform_nonnegative(self, wellmixed_generator, wellmixed_p0):
-        for s in (0.05, 0.5, 5.0):
-            sol = rs.solve_resolvent(rs.assemble_resolvent(wellmixed_generator, s), wellmixed_p0)
-            assert sol.pstar.min() >= -1e-12
+        pstar = solve(wellmixed_generator, [0.05, 0.5, 5.0], wellmixed_p0.values).astype(float)
+        assert pstar.min() >= -1e-12
 
     def test_refined_solve_consistent(self, wellmixed_generator, wellmixed_p0):
-        sys_ = rs.assemble_resolvent(wellmixed_generator, 0.7)
-        x64 = np.linalg.solve(sys_.to_dense().T, wellmixed_p0.values)
-        xext = sys_.solve_refined(wellmixed_p0.values)
+        s = np.longdouble(0.7)
+        x64 = np.linalg.solve(resolvent(wellmixed_generator, 0.7).T, wellmixed_p0.values)
+        (xext,) = solve(wellmixed_generator, [s], wellmixed_p0.values)
         assert xext.dtype == np.longdouble
         assert np.abs(xext.astype(float) - x64).max() <= 1e-12
-        residual = wellmixed_p0.values - sys_.apply_transpose_extended(xext).astype(float)
-        assert np.abs(residual).max() <= 1e-15
+        applied = s * xext - wellmixed_generator.matrix_extended.T @ xext
+        assert np.abs(wellmixed_p0.values - applied.astype(float)).max() <= 1e-15
 
     def test_p0_validation(self, wellmixed_generator, wellmixed_config):
-        sys_ = rs.assemble_resolvent(wellmixed_generator, 1.0)
         bad = rs.ProbabilityVector(np.full(36, 0.5), 0.0, "ilt", wellmixed_config.space)
         with pytest.raises(DomainError):
-            rs.solve_resolvent(sys_, bad)
+            rs.stationary_fvt(wellmixed_generator, bad)
 
 
 def sweep_cases():
@@ -140,7 +156,7 @@ class TestLevelSweep:
         ((cols, x),) = solve_resolvents(gen, np.array(shifts, dtype=np.longdouble), rhs)
         assert cols.start == 0 and x.shape == (len(shifts), gen.dim) and x.dtype == np.longdouble
         for s, row in zip(shifts, x):
-            dense = np.linalg.solve(rs.assemble_resolvent(gen, s).to_dense().T, rhs)
+            dense = np.linalg.solve(resolvent(gen, s).T, rhs)
             assert np.abs(row.astype(float) - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
     @pytest.mark.parametrize("gen", sweep_cases())
@@ -164,11 +180,6 @@ class TestLevelSweep:
         assert [len(x) for _, x in chunks] == [3, 3, 1]
         for cols, x in chunks:
             assert np.abs(x - whole[cols]).max() <= 1e-15 * np.abs(whole).max()
-
-    def test_width_one_view(self, wellmixed_generator, wellmixed_p0):
-        system = rs.assemble_resolvent(wellmixed_generator, np.longdouble(2) / 3)
-        ((_, x),) = solve_resolvents(wellmixed_generator, [system.s_extended], wellmixed_p0.values)
-        assert np.array_equal(system.solve_refined(wellmixed_p0.values), x[0])
 
     def test_invalid_input_rejected(self, wellmixed_generator, wellmixed_p0):
         v = wellmixed_p0.values
@@ -239,13 +250,13 @@ class TestStationaryFvt:
 
     def test_mass_identity_along_grid(self):
         # near s = 0 the solution has size 1/s, so the residual and mass checks
-        # there need the longdouble refinement; N = 100 is where double fails
+        # there need the longdouble sweep; N = 100 is where double fails
         for N, c in [(10, 5), (100, 50)]:
             cfg, gen = make_gen(N, c)
             p0 = rs.delta_vector(cfg.space, cfg.initial_state)
-            for s in DEFAULT_S_GRID:
-                sol = rs.solve_resolvent(rs.assemble_resolvent(gen, s), p0)
-                assert abs(s * sol.total - 1.0) <= 1e-10, (N, c, s)
+            pstar = solve(gen, DEFAULT_S_GRID, p0.values).astype(float)
+            for s, row in zip(DEFAULT_S_GRID, pstar):
+                assert abs(s * row.sum() - 1.0) <= 1e-10, (N, c, s)
 
     def test_tiny_matches_dense_stationary(self, tiny_generator, tiny_config):
         p0 = rs.delta_vector(tiny_config.space, (0, 0))
@@ -262,13 +273,9 @@ class TestStationaryFvt:
         assert len(diffs) == len(DEFAULT_S_GRID) - 1
         assert diffs[-1] < diffs[0]
 
-    def test_grid_validation(self, wellmixed_generator, wellmixed_p0):
-        with pytest.raises(DomainError):
-            rs.stationary_fvt(wellmixed_generator, wellmixed_p0, s_grid=(1e-3, 1e-2))
-        with pytest.raises(DomainError):
-            rs.stationary_fvt(wellmixed_generator, wellmixed_p0, s_grid=())
-
-    def test_nonconvergence_warns(self, wellmixed_generator, wellmixed_p0):
+    def test_nonconvergence_warns(self, wellmixed_generator, wellmixed_p0, monkeypatch):
+        monkeypatch.setattr(laplace, "DEFAULT_S_GRID", (1.0, 0.5))
         with pytest.warns(UserWarning):
-            result = rs.stationary_fvt(wellmixed_generator, wellmixed_p0, s_grid=(1.0, 0.5))
+            result = rs.stationary_fvt(wellmixed_generator, wellmixed_p0)
         assert not result.converged
+        assert result.s_grid == (1.0, 0.5)
