@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -363,13 +364,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _state_columns(space):
+    """The i and j of every state, in index order, as two lists of ints."""
+    return [column.tolist() for column in np.divmod(np.arange(space.size), space.width)]
+
+
 def _write_state_probs(scenario, sol, out_dir, meta):
-    space = scenario.model.space
-    rows = []
-    for t, vec in zip(sol.times, sol.vectors):
-        for idx, p in enumerate(vec.values):
-            i, j = space.state_at(idx)
-            rows.append((_fmt(t), i, j, _fmt(p)))
+    # one row per (t, state), built without a Python call per state
+    i, j = _state_columns(scenario.model.space)
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(repr(t)), i, j, map(repr, vec.values.tolist()))
+        for t, vec in zip(sol.times.tolist(), sol.vectors)
+    )
     return [_write_csv(out_dir / "state_probs.csv", ("t", "i", "j", "probability"), rows, meta)]
 
 
@@ -405,11 +411,7 @@ def _write_stationary(scenario, out_dir, meta):
             "fvt_max_diff": float(np.abs(pi.values - fvt.vector.values).max()),
             "fvt_converged": fvt.converged,
         }
-    space = scenario.model.space
-    rows = []
-    for idx, p in enumerate(pi.values):
-        i, j = space.state_at(idx)
-        rows.append((i, j, _fmt(p)))
+    rows = zip(*_state_columns(scenario.model.space), map(repr, pi.values.tolist()))
     return [_write_csv(out_dir / "stationary.csv", ("i", "j", "probability"), rows, meta)]
 
 

@@ -4,18 +4,24 @@ The moves of the chain are enumerated once, in :func:`_moves`, and
 :func:`transitions` attaches their rates; the generator, its structural check
 and the simulator's tables are all derived from that one table.  The diagonal
 of Q carries minus the row's total exit rate, so every row sums to 0.
+
+scipy is imported in the function bodies that use it, so that importing the
+package (and ``validate-config``, which builds no generator) loads no scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ModelError
 from .model import ModelConfig, RateFunction, StateSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DENSE_LIMIT = 10_000
 
@@ -28,6 +34,8 @@ class GeneratorMatrix:
     space: StateSpace | None = None
 
     def __post_init__(self):
+        from scipy import sparse
+
         m = sparse.csr_matrix(self.matrix, dtype=float)
         if m.shape[0] != m.shape[1]:
             raise ModelError(f"generator must be square, got shape {m.shape}")
@@ -40,6 +48,8 @@ class GeneratorMatrix:
     @classmethod
     def from_dense(cls, array, space: StateSpace | None = None) -> "GeneratorMatrix":
         """Wrap an explicit (typically hand-built or test) matrix."""
+        from scipy import sparse
+
         return cls(sparse.csr_matrix(np.asarray(array, dtype=float)), space)
 
     @property
@@ -59,6 +69,8 @@ class GeneratorMatrix:
         negated row sum, so the stored rows miss zero by an ulp of the exit
         rate; at s = 1e-6 that alone moves s * sum(x) off 1 by about 1e-10.
         """
+        from scipy import sparse
+
         q = self.matrix.astype(np.longdouble)
         off = q - sparse.diags(q.diagonal())
         exit_rates = off @ np.ones(self.dim, dtype=np.longdouble)
@@ -129,6 +141,8 @@ def transitions(cfg: ModelConfig, rate_fn: RateFunction):
 
 def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
     """Assemble Q over the linear state ordering from the transition table."""
+    from scipy import sparse
+
     src, dst, rate = transitions(cfg, rate_fn)
     size = cfg.space.size
     off = sparse.coo_matrix((rate, (src, dst)), shape=(size, size)).tocsr()

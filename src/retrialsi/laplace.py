@@ -32,6 +32,9 @@ sum(pi) = 1, by sparse LU, after a structural check that the chain has
 exactly one closed class; it also serves generators without a lattice.
 :func:`stationary_fvt` approaches the same vector as the final-value limit
 s p*(s), through :func:`solve_resolvents`, the one resolvent entry point.
+
+scipy's ``csgraph`` and ``sparse.linalg`` are imported in the function bodies
+that use them, so that only a stationary solve loads them.
 """
 
 from __future__ import annotations
@@ -40,9 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .errors import DomainError, ModelError, NumericalError
 from .generator import GeneratorMatrix, _moves
@@ -185,8 +185,10 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     return ((cols, _solve_batch(gen, rates, shifts[cols], b)) for cols in chunks)
 
 
-def _closed_classes(q: sparse.csr_matrix) -> int:
-    """Number of closed communicating classes of the transition graph of Q."""
+def _closed_classes(q) -> int:
+    """Number of closed communicating classes of the transition graph of the CSR matrix Q."""
+    from scipy.sparse.csgraph import connected_components
+
     n_classes, labels = connected_components(q, directed=True, connection="strong")
     rows, cols = q.nonzero()
     leaving = labels[rows] != labels[cols]
@@ -204,6 +206,9 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
     exactly first, because an LU notices a second closed class only if a
     pivot happens to come out exactly zero.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     q = gen.matrix
     scale = max(1.0, float(np.abs(q.diagonal()).max(initial=0.0)))
     if np.abs(gen.row_sums()).max(initial=0.0) > 1e-12 * scale:

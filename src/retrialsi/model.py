@@ -90,7 +90,7 @@ class ContactGraph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=int)
+        a = np.array(self.adjacency, dtype=int)  # a copy: freezing must not touch the caller's array
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigError(f"adjacency must be square, got shape {a.shape}")
         if not np.array_equal(a, a.T):

@@ -4,6 +4,9 @@ Uniformization expresses P(t) = P(0) exp(Q t) as a Poisson mixture of powers of
 the stochastic matrix U = I + Q / Lambda, truncated with an explicit total
 variation bound.  It serves as the oracle the inverse-transform solver is
 checked against.  Gillespie sampling provides a third, statistical route.
+
+scipy is imported in the function bodies that use it, so that importing the
+module loads none of it and ``scipy.special`` loads only for uniformization.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .generator import GeneratorMatrix, transitions
@@ -41,7 +42,7 @@ class ProbabilityVector:
     space: StateSpace | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: freezing must not touch the caller's array
         if v.ndim != 1:
             raise DomainError(f"probability vector must be 1-d, got shape {v.shape}")
         if self.space is not None and v.size != self.space.size:
@@ -107,7 +108,7 @@ class TransientSolution:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = time_grid(self.times)
+        t = time_grid(self.times).copy()
         if t.size != len(self.vectors):
             raise DomainError("times and vectors must align one to one")
         sizes = {v.values.size for v in self.vectors}
@@ -137,8 +138,8 @@ class Trajectory:
     rng: str = RNG_ALGORITHM
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=int)
+        t = np.array(self.times, dtype=float)
+        s = np.array(self.states, dtype=int)
         if t.size and not np.all(np.diff(t) > 0):
             raise DomainError("event times must be strictly increasing")
         if s.shape != (t.size, 2):
@@ -163,6 +164,8 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
     Computed in log space, then renormalized so the truncation mass is
     redistributed proportionally.
     """
+    from scipy.special import gammaln
+
     if q == 0.0:
         return np.ones(1)
     # generous upper bound for the support scan
@@ -180,6 +183,8 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
 def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
                eps: float = 1e-10) -> ProbabilityVector:
     """Propagate ``p0`` for a duration ``t``; total variation error below ``eps``."""
+    from scipy import sparse
+
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     if not 0 < eps <= EPS_MAX:

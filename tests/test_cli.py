@@ -1,12 +1,20 @@
 import csv
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import retrialsi as rs
-from retrialsi import cli
+from retrialsi import cli, laplace
 from retrialsi.cli import main, scenario_from_mapping
-from retrialsi.errors import ConfigError, ModelError
+from retrialsi.errors import ConfigError, ModelError, NumericalError
+
+REPO = Path(__file__).resolve().parents[1]
 
 WELLMIXED_YAML = """\
 model:
@@ -247,6 +255,34 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, trigger, code", [
+        ("solve", "residual", 3),
+        ("table", "residual", 3),
+        ("sweep", "out_is_file", 2),
+        ("timeseries", "out_is_file", 2),
+        ("stationary", "singular", 3),
+        ("simulate", "time_zero", 2),
+    ])
+    def test_report_subcommand_failure(self, tmp_path, capsys, monkeypatch,
+                                       command, trigger, code):
+        times = "[0.0]" if trigger == "time_zero" else "[0.5, 2.0]"
+        cfg = write_config(tmp_path, method="ilt", times=times,
+                           extra="table: {N: [6], c: [3], times: [1.0]}\n")
+        out = tmp_path / "out"
+        if trigger == "out_is_file":
+            out.write_text("")
+        elif trigger == "residual":
+            monkeypatch.setattr(laplace, "RESIDUAL_TOL", 0.0)
+        elif trigger == "singular":
+            def singular(gen):
+                raise NumericalError("singular pivot in the stationary system")
+
+            monkeypatch.setattr(cli, "stationary_nullspace", singular)
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        prefix = "config error: " if code == 2 else "numerical error: "
+        assert err.startswith(prefix) and "Traceback" not in err
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--config", "x.yaml", "--method", "magic"])
@@ -447,3 +483,79 @@ class TestScenarioParsing:
         a = scenario_from_mapping(dict(mapping)).config_hash
         b = scenario_from_mapping(dict(mapping)).config_hash
         assert a == b
+
+
+class TestPerStateWriters:
+    """The per-state reports are byte-identical to one ``state_at`` and ``repr`` per state."""
+
+    @staticmethod
+    def per_state_csv(header, rows):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue().encode()
+
+    @pytest.fixture(params=[(2, 1), (12, 11), "ring_hub_10"], ids=str)
+    def scenario(self, request):
+        if request.param == "ring_hub_10":
+            return cli.load_scenario(REPO / "demos" / "configs" / "heterogeneous.yaml")
+        n, c = request.param
+        return scenario_from_mapping({
+            "model": {"N": n, "c": c, "alpha": 5.0, "mu": 0.4, "theta": 2.0},
+            "solver": {"method": "uniformization"},
+        })
+
+    def test_state_probs(self, scenario, tmp_path):
+        sol = cli._solve_grid(scenario.model, scenario.graph, scenario.solver,
+                              np.array([0.0, 0.5, 2.0]))
+        space = scenario.model.space
+        rows = [(repr(float(t)), *space.state_at(idx), repr(float(p)))
+                for t, vec in zip(sol.times, sol.vectors) for idx, p in enumerate(vec.values)]
+        [path] = cli._write_state_probs(scenario, sol, tmp_path, None)
+        assert path.read_bytes() == self.per_state_csv(("t", "i", "j", "probability"), rows)
+
+    def test_stationary(self, scenario, tmp_path):
+        model = scenario.model
+        pi = rs.stationary_nullspace(rs.build_generator(model, rs.rate_function(model, scenario.graph)))
+        rows = [(*model.space.state_at(idx), repr(float(p))) for idx, p in enumerate(pi.values)]
+        [path] = cli._write_stationary(scenario, tmp_path, None)
+        assert path.read_bytes() == self.per_state_csv(("i", "j", "probability"), rows)
+
+
+#: Runs the CLI in a fresh interpreter and prints its exit code and loaded scipy modules.
+SCIPY_PROBE = """\
+import json, sys
+from retrialsi import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+class TestScipyLoading:
+    """Each command loads only the scipy subpackages its solvers call."""
+
+    @staticmethod
+    def scipy_modules(tmp_path, *args):
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [*args, "--config", str(REPO / "bench" / "configs" / "lattice.yaml"),
+                "--out", str(tmp_path / "out"), "--no-metadata"]
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        return set(modules)
+
+    def test_validate_config_loads_no_scipy(self, tmp_path):
+        assert self.scipy_modules(tmp_path, "validate-config") == set()
+
+    def test_ilt_solve_loads_only_sparse(self, tmp_path):
+        loaded = self.scipy_modules(tmp_path, "solve", "--method", "ilt")
+        assert "scipy.sparse" in loaded
+        assert not loaded & {"scipy.special", "scipy.linalg", "scipy.sparse.linalg",
+                             "scipy.sparse.csgraph"}
+
+    def test_uniformization_solve_loads_no_stationary_solver(self, tmp_path):
+        loaded = self.scipy_modules(tmp_path, "solve", "--method", "uniformization")
+        assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph"}

@@ -83,6 +83,13 @@ class TestContactGraph:
         with pytest.raises(ConfigError):
             ContactGraph(np.array([[0, 2], [2, 0]]))  # weight
 
+    def test_leaves_caller_array_writable(self):
+        adjacency = np.array([[0, 1], [1, 0]])
+        g = ContactGraph(adjacency)
+        assert adjacency.flags.writeable and not g.adjacency.flags.writeable
+        adjacency[:] = 0
+        assert g.adjacency[0, 1] == 1
+
 
 class TestLoadGraph:
     def test_duplicate_edge_collapses(self):

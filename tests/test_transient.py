@@ -194,6 +194,28 @@ class TestContainers:
         with pytest.raises(DomainError):
             rs.ProbabilityVector(np.zeros(7), 0.0, "ilt", wellmixed_config.space)
 
+    def test_probability_vector_leaves_caller_array_writable(self, wellmixed_config):
+        values = np.full(36, 1.0 / 36)
+        vec = rs.ProbabilityVector(values, 0.0, "ilt", wellmixed_config.space)
+        assert values.flags.writeable and not vec.values.flags.writeable
+        values[0] = 1.0  # the vector holds its own copy
+        assert vec.values[0] == pytest.approx(1.0 / 36)
+
+    def test_transient_solution_leaves_caller_array_writable(self, wellmixed_p0):
+        times = np.array([0.5, 1.0])
+        sol = rs.TransientSolution(times, [wellmixed_p0, wellmixed_p0])
+        assert times.flags.writeable and not sol.times.flags.writeable
+        times[0] = 0.25
+        assert sol.times[0] == 0.5
+
+    def test_trajectory_leaves_caller_arrays_writable(self):
+        times, states = np.array([0.0, 0.5]), np.array([[0, 0], [1, 0]])
+        path = rs.Trajectory(times, states, 1.0, 0)
+        assert times.flags.writeable and states.flags.writeable
+        assert not path.times.flags.writeable and not path.states.flags.writeable
+        states[1, 0] = 0
+        assert path.states[1, 0] == 1
+
     def test_clipped_restores_distribution(self, wellmixed_config):
         values = np.full(36, 1.0 / 36)
         values[0] = -1e-5
