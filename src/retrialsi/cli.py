@@ -296,12 +296,12 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings,
     grid of t = 0 alone runs no inversion.
     """
     rate = rate_function(model, graph)
+    if solver.method == "monte_carlo":  # samples from the transition table, not from Q
+        return monte_carlo_estimate(model, rate, times, solver.replicas, solver.seed).solution
     gen = build_generator(model, rate)
     p0 = delta_vector(model.space, model.initial_state, Provenance.ILT)
     if solver.method == "uniformization":
         return transient_grid(gen, p0, times, eps=solver.eps)
-    if solver.method == "monte_carlo":
-        return monte_carlo_estimate(model, rate, times, solver.replicas, solver.seed).solution
 
     positive = times[times > 0]
     vectors = [p0] * (times.size - positive.size)  # the t = 0 row, if any

@@ -5,15 +5,18 @@ The moves of the chain are enumerated once, in :func:`_moves`, and
 and the simulator's tables are all derived from that one table.  The diagonal
 of Q carries minus the row's total exit rate, so every row sums to 0.
 
-scipy is imported in the function bodies that use it, so that importing the
-package (and ``validate-config``, which builds no generator) loads no scipy.
+Q and its longdouble twin are assembled with numpy alone, as the arrays of
+compressed sparse rows (:class:`CsrArrays`), so that the inversion route never
+loads scipy.  :attr:`GeneratorMatrix.matrix` wraps the same arrays in a scipy
+``csr_matrix`` on first use, for uniformization, the stationary solve and the
+structural checks; scipy is imported in the function bodies that use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,35 +29,95 @@ if TYPE_CHECKING:
 DENSE_LIMIT = 10_000
 
 
+class CsrArrays(NamedTuple):
+    """A square sparse matrix as compressed sparse rows.
+
+    The fields are in the argument order of scipy's ``csr_matrix((data,
+    indices, indptr))``, so ``csr_matrix(arrays, shape=(n, n))`` wraps them.
+    The arrays this module builds hold each row in column order.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.indptr.size - 1
+
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.dim, dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal, 0 where none is stored."""
+        rows = self.rows()
+        on = rows == self.indices
+        diagonal = np.zeros(self.dim, dtype=self.data.dtype)
+        diagonal[rows[on]] = self.data[on]
+        return diagonal
+
+
+def _csr(rows, cols, values, size: int) -> CsrArrays:
+    """CSR arrays of the distinct entries (rows, cols, values), zeros dropped.
+
+    Indices are int32 wherever they fit, as scipy stores them.
+    """
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    order = np.lexsort((cols, rows))
+    index = np.int32 if max(size, values.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return CsrArrays(values[order], cols[order].astype(index), indptr)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Generator Q in CSR form, optionally tied to its state space."""
+    """Generator Q as CSR arrays, optionally tied to its state space."""
 
-    matrix: sparse.csr_matrix
+    csr: CsrArrays
     space: StateSpace | None = None
 
     def __post_init__(self):
-        from scipy import sparse
-
-        m = sparse.csr_matrix(self.matrix, dtype=float)
-        if m.shape[0] != m.shape[1]:
-            raise ModelError(f"generator must be square, got shape {m.shape}")
-        if self.space is not None and self.space.size != m.shape[0]:
+        if not (isinstance(self.csr, tuple) and len(self.csr) == 3):
+            raise ModelError("generator needs CSR arrays (data, indices, indptr)")
+        data, indices, indptr = (np.array(a) for a in self.csr)  # copies, frozen below
+        csr = CsrArrays(data.astype(float, copy=False), indices, indptr)
+        dim = indptr.size - 1
+        if not (
+            data.ndim == indices.ndim == indptr.ndim == 1
+            and indices.dtype.kind in "iu" and indptr.dtype.kind in "iu" and dim >= 0 and indptr[0] == 0 and indptr[-1] == data.size == indices.size
+            and np.all(np.diff(indptr) >= 0) and np.all((indices >= 0) & (indices < dim))
+        ):
+            raise ModelError("generator arrays are not a square CSR matrix")
+        if self.space is not None and self.space.size != dim:
             raise ModelError(
-                f"generator dimension {m.shape[0]} does not match state space size {self.space.size}"
+                f"generator dimension {dim} does not match state space size {self.space.size}"
             )
-        object.__setattr__(self, "matrix", m)
+        for a in csr:
+            a.setflags(write=False)
+        object.__setattr__(self, "csr", csr)
 
     @classmethod
     def from_dense(cls, array, space: StateSpace | None = None) -> "GeneratorMatrix":
         """Wrap an explicit (typically hand-built or test) matrix."""
-        from scipy import sparse
-
-        return cls(sparse.csr_matrix(np.asarray(array, dtype=float)), space)
+        a = np.asarray(array, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ModelError(f"generator must be square, got shape {a.shape}")
+        rows, cols = np.nonzero(a)
+        return cls(_csr(rows, cols, a[rows, cols], a.shape[0]), space)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.dim
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """Q as a scipy ``csr_matrix`` over the same (read-only) arrays, built on first use."""
+        from scipy import sparse
+
+        return sparse.csr_matrix(self.csr, shape=(self.dim, self.dim))
 
     def toarray(self) -> np.ndarray:
         if self.dim > DENSE_LIMIT:
@@ -62,31 +125,38 @@ class GeneratorMatrix:
         return self.matrix.toarray()
 
     @cached_property
-    def matrix_extended(self) -> sparse.csr_matrix:
+    def matrix_extended(self) -> CsrArrays:
         """Q in longdouble, its diagonal recomputed as minus the off-diagonal row sums.
 
         Built once, on first use.  The stored double diagonal is the rounded
         negated row sum, so the stored rows miss zero by an ulp of the exit
         rate; at s = 1e-6 that alone moves s * sum(x) off 1 by about 1e-10.
+        Each row is summed left to right in storage (column) order, as
+        scipy's sparse product with a vector of ones sums it.
         """
-        from scipy import sparse
-
-        q = self.matrix.astype(np.longdouble)
-        off = q - sparse.diags(q.diagonal())
-        exit_rates = off @ np.ones(self.dim, dtype=np.longdouble)
-        return (off - sparse.diags(exit_rates)).tocsr()
+        q = self.csr
+        rows = q.rows()
+        off = rows != q.indices
+        rows, cols, rates = rows[off], q.indices[off], q.data[off].astype(np.longdouble)
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # rank within the row
+        exit_rate = np.zeros(self.dim, dtype=np.longdouble)
+        for k in range(slot.max(initial=-1) + 1):
+            at = slot == k
+            exit_rate[rows[at]] += rates[at]
+        diagonal = np.arange(self.dim)
+        return _csr(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]),
+                    np.concatenate([rates, -exit_rate]), self.dim)
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def exit_rates(self) -> np.ndarray:
         """Total exit rate per state (= minus the diagonal)."""
-        return -self.matrix.diagonal()
+        return -self.csr.diagonal()
 
     def triplets(self):
         """(rows, cols, rates) of all stored entries, diagonal included."""
-        coo = self.matrix.tocoo()
-        return coo.row, coo.col, coo.data
+        return self.csr.rows(), self.csr.indices, self.csr.data
 
     def write_triplets(self, fileobj) -> None:
         """Dump the matrix as ``row,col,rate`` CSV lines for external inspection."""
@@ -140,14 +210,23 @@ def transitions(cfg: ModelConfig, rate_fn: RateFunction):
 
 
 def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
-    """Assemble Q over the linear state ordering from the transition table."""
-    from scipy import sparse
+    """Assemble Q over the linear state ordering from the transition table.
 
+    The diagonal is minus each row's rates reduced by ``np.add.reduceat`` in
+    column order, the reduction scipy's CSR row sum performs, so Q equals
+    scipy's ``coo -> csr`` assembly plus ``diags(-off.sum(axis=1))`` bit for
+    bit.  Zero entries are not stored.
+    """
     src, dst, rate = transitions(cfg, rate_fn)
     size = cfg.space.size
-    off = sparse.coo_matrix((rate, (src, dst)), shape=(size, size)).tocsr()
-    diag = sparse.diags(-np.asarray(off.sum(axis=1)).ravel())
-    return GeneratorMatrix((off + diag).tocsr(), cfg.space)
+    order = np.lexsort((dst, src))
+    src, dst, rate = src[order], dst[order], rate[order]
+    exit_rate = np.zeros(size)
+    stored = np.flatnonzero(np.bincount(src, minlength=size))
+    exit_rate[stored] = np.add.reduceat(rate, np.searchsorted(src, stored))
+    diagonal = np.arange(size)
+    return GeneratorMatrix(_csr(np.concatenate([src, diagonal]), np.concatenate([dst, diagonal]),
+                                np.concatenate([rate, -exit_rate]), size), cfg.space)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ The sweep performs the same operations for every shift s, so all the shifts
 of a time grid travel through it together as vectors.  It runs in longdouble
 without pivoting: M(s)^T is column diagonally dominant for s > 0, so every
 pivot is positive and elimination in any order is stable.  Every solution is
-residual-checked in longdouble against
-:attr:`~GeneratorMatrix.matrix_extended`: near s = 0 it has size 1/s, and a
+residual-checked in longdouble against the entries of
+:attr:`~GeneratorMatrix.matrix_extended`, gathered along the rows of Q^T, not
+against the sweep's rates: near s = 0 the solution has size 1/s, and a
 double-precision residual there is one rounding step, not a measurement.
 
 The stationary vector solves pi Q = 0 with one balance equation replaced by
@@ -33,8 +34,9 @@ exactly one closed class; it also serves generators without a lattice.
 :func:`stationary_fvt` approaches the same vector as the final-value limit
 s p*(s), through :func:`solve_resolvents`, the one resolvent entry point.
 
-scipy's ``csgraph`` and ``sparse.linalg`` are imported in the function bodies
-that use them, so that only a stationary solve loads them.
+The sweep and its residual check use numpy alone, so the inversion route
+loads no scipy; ``scipy.sparse``, its ``csgraph`` and ``sparse.linalg`` are
+imported in the function bodies of the stationary solve.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError
-from .generator import GeneratorMatrix, _moves
+from .generator import CsrArrays, GeneratorMatrix, _moves
 from .transient import ProbabilityVector, Provenance
 
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # decreasing shifts of stationary_fvt
@@ -76,14 +78,22 @@ def _level_rates(gen: GeneratorMatrix):
         raise ModelError("generator has no attached state space")
     q = gen.matrix_extended
     src, dst, family = _moves(space)
-    rate = np.asarray(q[src, dst]).ravel()
-    if np.count_nonzero(rate) != q.count_nonzero() - np.count_nonzero(q.diagonal()):
+    # entry (src, dst) of Q, found among the stored entries by its row-major key
+    keys = q.rows().astype(np.int64) * gen.dim + q.indices
+    wanted = src.astype(np.int64) * gen.dim + dst
+    at = np.searchsorted(keys, wanted)
+    stored = at < keys.size
+    stored[stored] = keys[at[stored]] == wanted[stored]
+    rate = np.zeros(src.size, dtype=np.longdouble)
+    rate[stored] = q.data[at[stored]]
+    diagonal = q.diagonal()
+    if np.count_nonzero(rate) != np.count_nonzero(q.data) - np.count_nonzero(diagonal):
         raise ModelError("generator has transitions off the lattice stencil")
     c, width = space.c, space.width
     by_source = np.zeros((4, c + 1, width), dtype=np.longdouble)  # [family, i, j] of the source
     i, j = np.divmod(src, width)
     by_source[family, i, j] = rate
-    exit_rate = np.ascontiguousarray(-q.diagonal().reshape(c + 1, width).T)
+    exit_rate = np.ascontiguousarray(-diagonal.reshape(c + 1, width).T)
     arrival, recovery, retrial = (np.zeros_like(exit_rate) for _ in range(3))
     arrival[:, 1:] = by_source[0, :-1].T
     recovery[:, :-1] = by_source[1, 1:].T
@@ -146,13 +156,36 @@ def _sweep(rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_batch(gen: GeneratorMatrix, rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sweep at the shifts ``s``, as x[k, state]; every row residual-checked."""
+def _transposed(q: CsrArrays):
+    """Q^T as padded rows ``(source, weight)``: (Q^T x)[k] = sum_m weight[k, m] x[source[k, m]].
+
+    Row k of Q^T holds the entries of column k of Q; padding slots weigh 0.
+    """
+    order = np.argsort(q.indices, kind="stable")
+    cols = q.indices[order]
+    slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within the column
+    source = np.zeros((q.dim, slot.max(initial=-1) + 1), dtype=np.intp)
+    weight = np.zeros(source.shape, dtype=q.data.dtype)
+    source[cols, slot] = q.rows()[order]
+    weight[cols, slot] = q.data[order]
+    return source, weight
+
+
+def _solve_batch(rates, qt, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sweep at the shifts ``s``, as x[k, state]; every row residual-checked.
+
+    ``qt`` is :func:`_transposed` of :attr:`~GeneratorMatrix.matrix_extended`:
+    the residual reads Q's own entries, not ``rates``.
+    """
     levels, units = rates[0].shape
     with np.errstate(all="ignore"):  # a zero or overflowing pivot shows in the residual
-        x = _sweep(rates, s, b.reshape(units, levels).T).transpose(1, 0, 2).reshape(gen.dim, -1)
-        r = gen.matrix_extended.T @ x
-        r += b[:, None]
+        x = _sweep(rates, s, b.reshape(units, levels).T).transpose(1, 0, 2).reshape(b.size, -1)
+        source, weight = qt
+        r = np.repeat(b[:, None], s.size, axis=1)
+        for m in range(source.shape[1]):  # r = Q^T x + b, one slot of Q^T's rows at a time
+            term = x[source[:, m]]
+            term *= weight[:, m, None]
+            r += term
         residual = np.abs(np.subtract(x * s, r, out=r), out=r).max(axis=0)
     worst = int(np.argmax(residual))  # the first NaN, if any
     if not residual[worst] <= RESIDUAL_TOL:
@@ -179,10 +212,10 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     b = np.asarray(rhs, dtype=np.longdouble)
     if b.shape != (gen.dim,):
         raise DomainError(f"right-hand side has shape {b.shape}, system dimension is {gen.dim}")
-    rates = _level_rates(gen)
+    rates, qt = _level_rates(gen), _transposed(gen.matrix_extended)
     width = max(1, SWEEP_ENTRIES // gen.dim)
     chunks = (slice(k, k + width) for k in range(0, shifts.size, width))
-    return ((cols, _solve_batch(gen, rates, shifts[cols], b)) for cols in chunks)
+    return ((cols, _solve_batch(rates, qt, shifts[cols], b)) for cols in chunks)
 
 
 def _closed_classes(q) -> int:

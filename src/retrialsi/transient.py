@@ -5,8 +5,8 @@ the stochastic matrix U = I + Q / Lambda, truncated with an explicit total
 variation bound.  It serves as the oracle the inverse-transform solver is
 checked against.  Gillespie sampling provides a third, statistical route.
 
-scipy is imported in the function bodies that use it, so that importing the
-module loads none of it and ``scipy.special`` loads only for uniformization.
+scipy is imported in the function bodies that use it: uniformization loads
+``scipy.sparse`` and ``scipy.special``, and the two sampling routes load none.
 """
 
 from __future__ import annotations
@@ -196,10 +196,11 @@ def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
         return ProbabilityVector(v, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space)
 
     weights = _poisson_weights(lam * t, eps)
-    U = (sparse.eye(gen.dim, format="csr") + gen.matrix / lam).tocsr()
+    # U^T, taken once: v @ U on a CSR matrix would transpose U again at every step
+    ut = (sparse.eye(gen.dim, format="csr") + gen.matrix / lam).T
     acc = weights[0] * v
     for w in weights[1:]:
-        v = v @ U
+        v = ut @ v
         acc += w * v
     return ProbabilityVector(acc, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space)
 

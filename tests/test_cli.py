@@ -536,11 +536,10 @@ class TestScipyLoading:
     """Each command loads only the scipy subpackages its solvers call."""
 
     @staticmethod
-    def scipy_modules(tmp_path, *args):
+    def scipy_modules(tmp_path, *args, config=REPO / "bench" / "configs" / "lattice.yaml"):
         src = str(Path(rs.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [*args, "--config", str(REPO / "bench" / "configs" / "lattice.yaml"),
-                "--out", str(tmp_path / "out"), "--no-metadata"]
+        argv = [*args, "--config", str(config), "--out", str(tmp_path / "out"), "--no-metadata"]
         proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -550,11 +549,18 @@ class TestScipyLoading:
     def test_validate_config_loads_no_scipy(self, tmp_path):
         assert self.scipy_modules(tmp_path, "validate-config") == set()
 
-    def test_ilt_solve_loads_only_sparse(self, tmp_path):
-        loaded = self.scipy_modules(tmp_path, "solve", "--method", "ilt")
-        assert "scipy.sparse" in loaded
-        assert not loaded & {"scipy.special", "scipy.linalg", "scipy.sparse.linalg",
-                             "scipy.sparse.csgraph"}
+    def test_ilt_solve_loads_no_scipy(self, tmp_path):
+        assert self.scipy_modules(tmp_path, "solve", "--method", "ilt") == set()
+
+    @pytest.mark.parametrize("command", ["table", "sweep", "timeseries"])
+    def test_ilt_reports_load_no_scipy(self, tmp_path, command):
+        wellmixed = REPO / "demos" / "configs" / "wellmixed.yaml"
+        assert self.scipy_modules(tmp_path, command, "--method", "ilt", config=wellmixed) == set()
+
+    def test_monte_carlo_solve_loads_no_scipy(self, tmp_path):
+        mc = REPO / "bench" / "configs" / "mc_n40.yaml"
+        assert self.scipy_modules(tmp_path, "solve", "--method", "monte_carlo", "--seed", "7",
+                                  config=mc) == set()
 
     def test_uniformization_solve_loads_no_stationary_solver(self, tmp_path):
         loaded = self.scipy_modules(tmp_path, "solve", "--method", "uniformization")

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import retrialsi as rs
@@ -135,3 +136,23 @@ class TestDumpAndGuards:
     def test_space_size_mismatch_rejected(self):
         with pytest.raises(ModelError):
             GeneratorMatrix.from_dense(np.zeros((3, 3)), StateSpace(10, 5))
+
+    @pytest.mark.parametrize("arrays", [
+        pytest.param(csr_matrix(np.eye(3)), id="scipy_matrix"),
+        pytest.param(([1.0], [3], [0, 1, 1, 1]), id="column_out_of_range"),
+        pytest.param(([1.0], [0.0], [0, 1, 1, 1]), id="float_indices"),
+        pytest.param(([1.0, 1.0], [0, 1], [0, 2, 1, 2]), id="row_pointers_decrease"),
+        pytest.param(([1.0], [0], [1, 1]), id="row_pointers_start_past_0"),
+        pytest.param(([1.0, 1.0], [0], [0, 1, 2]), id="data_longer_than_indices"),
+    ])
+    def test_malformed_csr_rejected(self, arrays):
+        with pytest.raises(ModelError):
+            GeneratorMatrix(arrays)
+
+    def test_csr_arrays_copied_and_frozen(self, tiny_generator):
+        data = tiny_generator.csr.data.copy()
+        gen = GeneratorMatrix((data, tiny_generator.csr.indices, tiny_generator.csr.indptr))
+        data[0] = 7.0
+        assert np.array_equal(gen.csr.data, tiny_generator.csr.data)
+        assert not any(a.flags.writeable for a in gen.csr)
+        assert np.array_equal(gen.toarray(), tiny_generator.toarray())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import retrialsi as rs
 from retrialsi import GeneratorMatrix, ModelConfig, laplace
@@ -17,6 +18,11 @@ def make_gen(N, c, theta=2.0):
 def resolvent(gen, s):
     """M(s) = s I - Q as a dense array."""
     return s * np.eye(gen.dim) - gen.toarray()
+
+
+def extended(gen):
+    """The longdouble Q of ``gen`` as a scipy matrix over its arrays."""
+    return csr_matrix(gen.matrix_extended, shape=(gen.dim, gen.dim))
 
 
 def block(m, w, i, j):
@@ -61,7 +67,7 @@ class TestAssemble:
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_blocks_reassemble_exactly(self, N, c, s):
         _, gen = make_gen(N, c)
-        m = s * np.eye(gen.dim, dtype=np.longdouble) - gen.matrix_extended.toarray()
+        m = s * np.eye(gen.dim, dtype=np.longdouble) - extended(gen).toarray()
         assert np.array_equal(resolvent_from_rates(gen, s), m)
 
     def test_block_shapes(self):
@@ -126,7 +132,7 @@ class TestSolveResolvent:
         (xext,) = solve(wellmixed_generator, [s], wellmixed_p0.values)
         assert xext.dtype == np.longdouble
         assert np.abs(xext.astype(float) - x64).max() <= 1e-12
-        applied = s * xext - wellmixed_generator.matrix_extended.T @ xext
+        applied = s * xext - extended(wellmixed_generator).T @ xext
         assert np.abs(wellmixed_p0.values - applied.astype(float)).max() <= 1e-15
 
     def test_p0_validation(self, wellmixed_generator, wellmixed_config):
@@ -166,7 +172,7 @@ class TestLevelSweep:
         solved = 0
         for cols, x in solve_resolvents(gen, self.SHIFTS, p0):
             for s, row in zip(self.SHIFTS[cols], x):
-                residual = s * row - gen.matrix_extended.T @ row - p0
+                residual = s * row - extended(gen).T @ row - p0
                 assert np.abs(residual).max() <= RESIDUAL_TOL, s
                 assert abs(float(s * row.sum()) - 1.0) <= 1e-10, s
                 solved += 1
@@ -189,7 +195,7 @@ class TestLevelSweep:
         with pytest.raises(DomainError):
             solve_resolvents(wellmixed_generator, [1.0], v[:-1])
         with pytest.raises(ModelError):  # no lattice
-            solve_resolvents(GeneratorMatrix(wellmixed_generator.matrix), [1.0], v)
+            solve_resolvents(GeneratorMatrix(wellmixed_generator.csr), [1.0], v)
         off = wellmixed_generator.toarray()
         off[0, 0] -= 1.0
         off[0, -1] = 1.0  # a jump the lattice stencil does not have

@@ -5,10 +5,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
-from scipy.sparse import csr_matrix  # noqa: E402
+from scipy.sparse import coo_matrix, csr_matrix, diags  # noqa: E402
 from scipy.sparse.csgraph import connected_components  # noqa: E402
 
 import retrialsi as rs  # noqa: E402
+from retrialsi.generator import transitions  # noqa: E402
 from retrialsi.transient import _transition_table  # noqa: E402
 
 RATES = st.floats(0.05, 10.0)
@@ -69,6 +70,38 @@ def test_generator_simulator_and_oracle_agree(model, t):
     assert abs(rs.uniformize(gen, p0, t).total - 1.0) <= 1e-12
 
     assert np.array_equal(rs.load_graph(rs.graph_to_text(graph)).adjacency, graph.adjacency)
+
+
+def scipy_assembly(cfg, rate_fn):
+    """Q and its longdouble twin as scipy assembles them: coo -> csr, minus the row sums."""
+    src, dst, rate = transitions(cfg, rate_fn)
+    n = cfg.space.size
+    off = coo_matrix((rate, (src, dst)), shape=(n, n)).tocsr()
+    q = (off + diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+    q_ext = q.astype(np.longdouble)
+    off_ext = q_ext - diags(q_ext.diagonal())
+    return q, (off_ext - diags(off_ext @ np.ones(n, dtype=np.longdouble))).tocsr()
+
+
+def assert_assembly_matches_scipy(cfg, graph):
+    rate_fn = rs.rate_function(cfg, graph)
+    gen = rs.build_generator(cfg, rate_fn)
+    for arrays, reference in zip((gen.csr, gen.matrix_extended), scipy_assembly(cfg, rate_fn)):
+        for got, want in zip(arrays, (reference.data, reference.indices, reference.indptr)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@PROPERTY_SETTINGS
+@given(models())
+def test_assembly_matches_scipy_bit_for_bit(model):
+    assert_assembly_matches_scipy(*model)
+
+
+@pytest.mark.parametrize("N,c", [(200, 100), (30, 29)])
+def test_assembly_matches_scipy_where_a_plain_sum_does_not(N, c):
+    # summing a row's rates left to right misses scipy's diagonal in the last bit here
+    cfg = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=2.0)
+    assert_assembly_matches_scipy(cfg, None)
 
 
 def retrying_model(model):
