@@ -123,13 +123,16 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
         raise DomainError("times must be strictly positive")
 
     v_ext = stehfest_coefficients(order).values_extended
-    # one abscissa k ln2 / t per exact ratio k / t: repeats across the grid are solved once
-    column_of: dict[Fraction, int] = {}
+    # one abscissa k ln2 / t per exact ratio k / t: repeats across the grid are solved once.
+    # With t = num / den, the ratio is k * den / num, keyed as that fraction in lowest terms.
+    column_of: dict[tuple[int, int], int] = {}
     shifts = []
     columns = np.empty((grid.size, order), dtype=np.intp)
     for n, t in enumerate(grid.tolist()):
+        num, den = t.as_integer_ratio()
         for k in range(1, order + 1):
-            key = Fraction(k) / Fraction(t)
+            g = math.gcd(k * den, num)
+            key = (k * den // g, num // g)
             if key not in column_of:
                 column_of[key] = len(shifts)
                 shifts.append(np.longdouble(k) * _LN2_EXT / np.longdouble(t))

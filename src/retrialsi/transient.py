@@ -309,6 +309,15 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
     All replicas advance in lockstep; at each requested time the residual
     holding time is resampled, which is distribution-exact because holding
     times are exponential.  Deterministic for a fixed seed.
+
+    A round steps only the live replicas, kept as ascending indices with
+    their clocks alongside.  A replica leaves the live set when its next
+    jump falls past the grid time or its state is absorbing, and every
+    replica is live again, at the previous grid time, when the next interval
+    starts.  A mover's slot counts its cumulative rates below the uniform
+    draw; rows are nondecreasing and padded with their total, so three
+    compares suffice.  The metadata counts the jumps taken (``events``) and
+    the lockstep rounds (``rounds``).
     """
     if replicas < MIN_REPLICAS:
         raise DomainError(f"replicas must be >= {MIN_REPLICAS}, got {replicas}")
@@ -316,37 +325,36 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
 
     space = cfg.space
     exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    cum0, cum1, cum2 = (np.ascontiguousarray(cum[:, k]) for k in range(3))
     rng = np.random.default_rng(seed)
 
     state = np.full(replicas, space.index(*cfg.initial_state), dtype=np.int64)
-    clock = np.zeros(replicas)
+    every = np.arange(replicas)
+    events = rounds = 0
+    start = 0.0
     vectors = []
     errors = []
     for t_q in grid:
-        while True:
-            live = clock < t_q
-            if not live.any():
-                break
-            idx = np.nonzero(live)[0]
-            lam = exit_rate[state[idx]]
+        live = every if t_q > start else every[:0]
+        clock = np.full(replicas, start)
+        while live.size:
+            rounds += 1
+            lam = exit_rate[state[live]]
             stuck = lam == 0.0
             if stuck.any():
-                clock[idx[stuck]] = t_q
-                idx = idx[~stuck]
-                if idx.size == 0:
-                    continue
-                lam = lam[~stuck]
-            dt = rng.exponential(1.0, size=idx.size) / lam
-            t_new = clock[idx] + dt
-            past = t_new >= t_q
-            clock[idx[past]] = t_q
-            movers = idx[~past]
-            if movers.size:
-                clock[movers] = t_new[~past]
-                u = rng.uniform(0.0, exit_rate[state[movers]])
-                rows = cum[state[movers]]
-                slots = (rows < u[:, None]).sum(axis=1)
-                state[movers] = targets[state[movers], np.minimum(slots, 3)]
+                keep = ~stuck
+                live, lam, clock = live[keep], lam[keep], clock[keep]
+            t_new = clock + rng.exponential(1.0, size=live.size) / lam
+            moving = np.flatnonzero(t_new < t_q)
+            live, clock = live.take(moving), t_new.take(moving)
+            src = state[live]
+            u = rng.uniform(0.0, lam.take(moving))
+            slot = (cum0[src] < u).astype(np.int64)
+            slot += cum1[src] < u
+            slot += cum2[src] < u
+            state[live] = targets[src, slot]
+            events += live.size
+        start = t_q
         counts = np.bincount(state, minlength=space.size).astype(float)
         phat = counts / replicas
         vectors.append(ProbabilityVector(phat, float(t_q), Provenance.MONTE_CARLO, space))
@@ -357,5 +365,7 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
         "seed": seed,
         "rng": RNG_ALGORITHM,
         "stepping": "lockstep with memoryless resampling at grid times",
+        "events": events,
+        "rounds": rounds,
     }
     return MonteCarloResult(TransientSolution(grid, vectors, meta), errors)

@@ -1,0 +1,116 @@
+"""Generative test of the CLI exit contract: 0, 2 or 3, and never a traceback.
+
+Configs are drawn from the documented schema (small N, a bounded grid), and
+at one leaf a value is replaced by a wrong type, a bool, NaN or +-inf, a
+negative, non-integral or huge number, or the key is dropped or joined by an
+extra one.  Huge values go only to leaves whose range the parser bounds: a
+huge N, replica count, rate or time sets the amount of work, and nothing
+bounds that yet.
+"""
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+
+from retrialsi import cli
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+CONTRACT_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC}
+HUGE = 10 ** 12
+BOUNDED_LEAVES = {("model", "c"), ("model", "initial_state", 0), ("model", "initial_state", 1),
+                  ("solver", "K"), ("solver", "eps"), ("solver", "seed"),
+                  ("times", "start"), ("times", "stop"), ("times", "step")}
+SUBSTITUTES = {
+    "wrong_type": st.sampled_from(["x", [1], {"a": 1}, None]),
+    "bool": st.booleans(),
+    "nan": st.just(math.nan),
+    "inf": st.sampled_from([math.inf, -math.inf]),
+    "negative": st.sampled_from([-1, -2.5]),
+    "non_integral": st.just(2.5),
+    "huge": st.sampled_from([HUGE, float(HUGE)]),
+}
+TIME_POINTS = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+
+
+@st.composite
+def valid_configs(draw):
+    """A config the CLI accepts, small enough to solve by every method in milliseconds."""
+    n = draw(st.integers(2, 8))
+    c = draw(st.integers(1, n - 1))
+    rate = st.sampled_from([0.1, 0.4, 1.0, 2.5, 6.0])
+    model = {"N": n, "c": c, "alpha": draw(rate), "mu": draw(rate),
+             "theta": draw(st.sampled_from([0.0, 0.4, 2.0])),
+             "initial_state": [draw(st.integers(0, c)), draw(st.integers(0, n - c))]}
+    solver = {"method": draw(st.sampled_from(cli.METHODS)),
+              "K": draw(st.sampled_from([2, 8, 14, 20])), "eps": 1e-10,
+              "replicas": 1000, "seed": draw(st.integers(0, 99))}
+    times = draw(st.one_of(
+        st.lists(st.sampled_from(TIME_POINTS), min_size=1, max_size=3, unique=True).map(sorted),
+        st.fixed_dictionaries({"start": st.just(0.0), "stop": st.sampled_from([1.0, 3.0]),
+                               "step": st.sampled_from([0.5, 1.0])}),
+    ))
+    outputs = draw(st.lists(st.sampled_from(["moments", "state_probs", "marginals"]),
+                            min_size=1, max_size=2, unique=True))
+    return {"model": model, "solver": solver, "times": times, "outputs": outputs}
+
+
+def leaves(node, path=()):
+    """Paths of every scalar in a config, in document order."""
+    if isinstance(node, dict):
+        return [leaf for key, child in node.items() for leaf in leaves(child, (*path, key))]
+    if isinstance(node, list):
+        return [leaf for k, child in enumerate(node) for leaf in leaves(child, (*path, k))]
+    return [path]
+
+
+@st.composite
+def perturbed_configs(draw):
+    """A valid config with one leaf replaced, dropped or joined by an extra key."""
+    config = draw(valid_configs())
+    path = draw(st.sampled_from(leaves(config)))
+    kinds = [*SUBSTITUTES, "missing", "extra"]
+    if path not in BOUNDED_LEAVES:
+        kinds.remove("huge")
+    kind = draw(st.sampled_from(kinds))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    if kind == "missing":
+        del parent[last]
+    elif kind == "extra":
+        target = parent if isinstance(parent, dict) else config
+        target["unexpected_key"] = draw(SUBSTITUTES["wrong_type"])
+    else:
+        parent[last] = draw(SUBSTITUTES[kind])
+    return config
+
+
+def run(argv):
+    """Exit code of one in-process CLI call; its output is discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@CONTRACT_SETTINGS
+@given(perturbed_configs())
+def test_exit_contract_on_generated_configs(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(config))
+        validated = run(["validate-config", "--config", str(path)])
+        assert validated in EXIT_CODES
+        for method in cli.METHODS:
+            code = run(["solve", "--config", str(path), "--method", method,
+                        "--out", str(Path(tmp) / method)])
+            assert code in EXIT_CODES, method
+            if code == cli.EXIT_CONFIG:
+                assert validated == cli.EXIT_CONFIG, (method, config)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 import retrialsi as rs
 from retrialsi import ModelConfig
 from retrialsi.errors import DomainError
+from retrialsi.transient import _transition_table
 
 STENCIL_MOVES = {(1, 0), (-1, 0), (1, -1), (0, 1)}
 
@@ -137,6 +138,73 @@ class TestGillespie:
         assert lines[1] == "0.0,0,0"
 
 
+def lockstep_reference(cfg, rate_fn, times, replicas, seed):
+    """Reference lockstep loop that rescans every replica's clock in each round.
+
+    It draws the same random numbers as ``monte_carlo_estimate`` and returns
+    its (vectors, standard errors), so the two must agree bit for bit.
+    """
+    grid = np.asarray(times, dtype=float)
+    space = cfg.space
+    exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    rng = np.random.default_rng(seed)
+
+    state = np.full(replicas, space.index(*cfg.initial_state), dtype=np.int64)
+    clock = np.zeros(replicas)
+    vectors = []
+    errors = []
+    for t_q in grid:
+        while True:
+            live = clock < t_q
+            if not live.any():
+                break
+            idx = np.nonzero(live)[0]
+            lam = exit_rate[state[idx]]
+            stuck = lam == 0.0
+            if stuck.any():
+                clock[idx[stuck]] = t_q
+                idx = idx[~stuck]
+                if idx.size == 0:
+                    continue
+                lam = lam[~stuck]
+            dt = rng.exponential(1.0, size=idx.size) / lam
+            t_new = clock[idx] + dt
+            past = t_new >= t_q
+            clock[idx[past]] = t_q
+            movers = idx[~past]
+            if movers.size:
+                clock[movers] = t_new[~past]
+                u = rng.uniform(0.0, exit_rate[state[movers]])
+                rows = cum[state[movers]]
+                slots = (rows < u[:, None]).sum(axis=1)
+                state[movers] = targets[state[movers], np.minimum(slots, 3)]
+        counts = np.bincount(state, minlength=space.size).astype(float)
+        phat = counts / replicas
+        vectors.append(phat)
+        errors.append(np.sqrt(phat * (1.0 - phat) / replicas))
+    return vectors, errors
+
+
+def _reference_models():
+    """(config, rate function) by name, with an absorbing chain for the stuck branch."""
+    homogeneous = {
+        "wellmixed": ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0),
+        "theta0_c1": ModelConfig(N=10, c=1, alpha=5.0, mu=0.4, theta=0.0),
+        "c_N-1": ModelConfig(N=10, c=9, alpha=5.0, mu=0.4, theta=1.3),
+    }
+    cases = {name: (cfg, rs.rate_function(cfg)) for name, cfg in homogeneous.items()}
+    het = ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0, mode="heterogeneous",
+                      tagged_node=2)
+    cases["ring_with_hub"] = (het, rs.rate_function(het, rs.ring_with_hub(10)))
+    for theta in (0.0, 1.0):  # no arrivals: every path ends in an absorbing state
+        cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=theta, initial_state=(2, 4))
+        cases[f"absorbing_theta{theta:g}"] = (cfg, lambda i, j: 0.0)
+    return cases
+
+
+REFERENCE_MODELS = _reference_models()
+
+
 class TestMonteCarlo:
     def test_time_zero_is_point_mass(self, wellmixed_config):
         rate = rs.rate_function(wellmixed_config)
@@ -177,6 +245,55 @@ class TestMonteCarlo:
         assert len(mc.standard_errors) == 2
         assert mc.standard_errors[0].shape == (wellmixed_config.space.size,)
         assert mc.solution.metadata["rng"] == "pcg64"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_bit_identical_to_lockstep_reference(self, name, seed):
+        cfg, rate = REFERENCE_MODELS[name]
+        times = [0.0, 0.5, 1.0, 3.0, 7.0]
+        mc = rs.monte_carlo_estimate(cfg, rate, times, 3000, seed)
+        vectors, errors = lockstep_reference(cfg, rate, times, 3000, seed)
+        for got, want in zip(mc.solution.vectors, vectors):
+            np.testing.assert_array_equal(got.values, want)
+        for got, want in zip(mc.standard_errors, errors):
+            np.testing.assert_array_equal(got, want)
+
+    def test_tied_draws_pick_the_reference_slot(self, monkeypatch):
+        # With mu = theta = 1 and arrivals at rate i + j, a row (i < c, i, j >= 1)
+        # is [i + j, i, j]: a draw of half the exit rate ties with the first
+        # cumulative rate, and three quarters ties with the second when i == j.
+        # A tie must not count as "below the draw", as in the reference.
+        real_rng = np.random.default_rng
+
+        class TyingGenerator:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def exponential(self, scale, size):
+                return self._rng.exponential(scale, size=size)
+
+            def uniform(self, low, high):
+                return low + high * (0.25 * self._rng.integers(1, 4, size=np.shape(high)))
+
+        monkeypatch.setattr(np.random, "default_rng", TyingGenerator)
+        cfg = ModelConfig(N=10, c=5, alpha=1.0, mu=1.0, theta=1.0, initial_state=(2, 2))
+        rate = lambda i, j: float(i + j)  # noqa: E731
+        times = [0.5, 1.0, 3.0]
+        mc = rs.monte_carlo_estimate(cfg, rate, times, 2000, seed=3)
+        vectors, _ = lockstep_reference(cfg, rate, times, 2000, seed=3)
+        for got, want in zip(mc.solution.vectors, vectors):
+            np.testing.assert_array_equal(got.values, want)
+
+    def test_work_counts(self, wellmixed_config):
+        rate = rs.rate_function(wellmixed_config)
+        idle = rs.monte_carlo_estimate(wellmixed_config, rate, [0.0], 1000, seed=1)
+        assert (idle.solution.metadata["events"], idle.solution.metadata["rounds"]) == (0, 0)
+        grid = [0.0, 0.5, 1.0, 3.0, 7.0]
+        runs = [rs.monte_carlo_estimate(wellmixed_config, rate, grid, 2000, seed=s).solution.metadata
+                for s in (5, 5, 6)]
+        assert runs[0]["events"] > 0 and runs[0]["rounds"] > 0
+        assert (runs[0]["events"], runs[0]["rounds"]) == (runs[1]["events"], runs[1]["rounds"])
+        assert runs[0]["events"] != runs[2]["events"]
 
 
 class TestContainers:
