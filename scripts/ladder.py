@@ -11,6 +11,8 @@ thread, and reports:
 - the inversion route at t = 5 and on the grid t = 0.5, 1, ..., 9;
 - uniformization at t = 5 and on the same grid;
 - max |ILT - uniformization| per state, at t = 5 and over the grid;
+- the stationary solve's time and its max |pi Q|, summed over the CSR
+  entries in double precision;
 - the number of distinct abscissae the grid needs, and the child's peak RSS
   (the grid run dominates it).
 
@@ -58,11 +60,15 @@ def rung(n: int) -> dict:
     unif5, unif5_s = timed(rs.transient_grid, gen, p0, [5.0])
     ilt, ilt_s = timed(rs.transient_via_ilt, gen, p0, grid)
     unif, unif_s = timed(rs.transient_grid, gen, p0, grid)
+    pi, stationary_s = timed(rs.stationary_nullspace, gen)
+    q = gen.csr
+    pi_q = np.bincount(q.indices, weights=pi.values[q.rows()] * q.data, minlength=gen.dim)
     return {"N": n, "c": n // 2, "states": gen.dim, "ilt_t5_s": ilt5_s, "unif_t5_s": unif5_s,
             "oracle_err_t5": worst(ilt5.vectors, unif5.vectors),
             "ilt_grid_s": ilt_s, "unif_grid_s": unif_s,
             "oracle_err_grid": worst(ilt.vectors, unif.vectors),
             "grid_abscissae": ilt.metadata.get("abscissae"),
+            "stationary_s": stationary_s, "stationary_residual": float(np.abs(pi_q).max()),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 

@@ -6,10 +6,10 @@ and the simulator's tables are all derived from that one table.  The diagonal
 of Q carries minus the row's total exit rate, so every row sums to 0.
 
 Q and its longdouble twin are assembled with numpy alone, as the arrays of
-compressed sparse rows (:class:`CsrArrays`), so that the inversion route never
-loads scipy.  :attr:`GeneratorMatrix.matrix` wraps the same arrays in a scipy
-``csr_matrix`` on first use, for uniformization, the stationary solve and the
-structural checks; scipy is imported in the function bodies that use it.
+compressed sparse rows (:class:`CsrArrays`), and the structural checks read
+those arrays, so that only uniformization loads scipy:
+:attr:`GeneratorMatrix.matrix` wraps the same arrays in a scipy
+``csr_matrix`` on first use, importing scipy in its body.
 """
 
 from __future__ import annotations
@@ -57,6 +57,13 @@ class CsrArrays(NamedTuple):
         diagonal[rows[on]] = self.data[on]
         return diagonal
 
+    def row_sums(self) -> np.ndarray:
+        """Each row summed left to right in storage order, as scipy's CSR row sum does."""
+        sums = np.zeros(self.dim, dtype=self.data.dtype)
+        stored = np.flatnonzero(np.diff(self.indptr))
+        sums[stored] = np.add.reduceat(self.data, self.indptr[stored])
+        return sums
+
 
 def _csr(rows, cols, values, size: int) -> CsrArrays:
     """CSR arrays of the distinct entries (rows, cols, values), zeros dropped.
@@ -70,6 +77,14 @@ def _csr(rows, cols, values, size: int) -> CsrArrays:
     indptr = np.zeros(size + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
     return CsrArrays(values[order], cols[order].astype(index), indptr)
+
+
+def _conservative(rows, cols, rates, size: int) -> CsrArrays:
+    """CSR arrays of the off-diagonal entries (rows, cols, rates), with minus their row sums on the diagonal."""
+    exit_rate = _csr(rows, cols, rates, size).row_sums()
+    diagonal = np.arange(size)
+    return _csr(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]),
+                np.concatenate([rates, -exit_rate]), size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +137,9 @@ class GeneratorMatrix:
     def toarray(self) -> np.ndarray:
         if self.dim > DENSE_LIMIT:
             raise ModelError(f"refusing dense conversion for dimension {self.dim} > {DENSE_LIMIT}")
-        return self.matrix.toarray()
+        dense = np.zeros((self.dim, self.dim))
+        np.add.at(dense, (self.csr.rows(), self.csr.indices), self.csr.data)  # duplicates add up
+        return dense
 
     @cached_property
     def matrix_extended(self) -> CsrArrays:
@@ -137,18 +154,10 @@ class GeneratorMatrix:
         q = self.csr
         rows = q.rows()
         off = rows != q.indices
-        rows, cols, rates = rows[off], q.indices[off], q.data[off].astype(np.longdouble)
-        slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # rank within the row
-        exit_rate = np.zeros(self.dim, dtype=np.longdouble)
-        for k in range(slot.max(initial=-1) + 1):
-            at = slot == k
-            exit_rate[rows[at]] += rates[at]
-        diagonal = np.arange(self.dim)
-        return _csr(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]),
-                    np.concatenate([rates, -exit_rate]), self.dim)
+        return _conservative(rows[off], q.indices[off], q.data[off].astype(np.longdouble), self.dim)
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        return self.csr.row_sums()
 
     def exit_rates(self) -> np.ndarray:
         """Total exit rate per state (= minus the diagonal)."""
@@ -212,21 +221,12 @@ def transitions(cfg: ModelConfig, rate_fn: RateFunction):
 def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
     """Assemble Q over the linear state ordering from the transition table.
 
-    The diagonal is minus each row's rates reduced by ``np.add.reduceat`` in
-    column order, the reduction scipy's CSR row sum performs, so Q equals
-    scipy's ``coo -> csr`` assembly plus ``diags(-off.sum(axis=1))`` bit for
-    bit.  Zero entries are not stored.
+    The diagonal is minus the off-diagonal row sums, each reduced in column
+    order as scipy's CSR row sum does, so Q equals scipy's ``coo -> csr``
+    assembly plus ``diags(-off.sum(axis=1))`` bit for bit.  Zero entries are
+    not stored.
     """
-    src, dst, rate = transitions(cfg, rate_fn)
-    size = cfg.space.size
-    order = np.lexsort((dst, src))
-    src, dst, rate = src[order], dst[order], rate[order]
-    exit_rate = np.zeros(size)
-    stored = np.flatnonzero(np.bincount(src, minlength=size))
-    exit_rate[stored] = np.add.reduceat(rate, np.searchsorted(src, stored))
-    diagonal = np.arange(size)
-    return GeneratorMatrix(_csr(np.concatenate([src, diagonal]), np.concatenate([dst, diagonal]),
-                                np.concatenate([rate, -exit_rate]), size), cfg.space)
+    return GeneratorMatrix(_conservative(*transitions(cfg, rate_fn), cfg.space.size), cfg.space)
 
 
 @dataclass(frozen=True)

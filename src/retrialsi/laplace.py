@@ -1,42 +1,36 @@
-"""Laplace-domain system M(s) = s I - Q: a batched level sweep, and the stationary vector.
+"""Laplace-domain system M(s) = s I - Q: one level sweep for the resolvents and the stationary vector.
 
-The transformed state probabilities p*(s) = p0 (s I - Q)^(-1) solve the
-row-vector system x M(s) = p0, that is M(s)^T x^T = p0^T.  The equation of
-state (i, j) involves x only at its lattice neighbours:
+The transformed state probabilities p*(s) = p0 (s I - Q)^(-1) solve
+M(s)^T x^T = p0^T.  The equation of state (i, j) involves x only at its
+lattice neighbours:
 
     (s + d(i, j)) x(i, j) - a(i-1, j) x(i-1, j) - (i+1) mu x(i+1, j)
         - r(i-1, j+1) x(i-1, j+1) - [i = c] a(c, j-1) x(c, j-1)  =  b(i, j)
 
 with d the exit rate, a the arrival rate and r the retrial rate.  Grouped by
-orbit level j, a block of c + 1 states, each level couples to the level above
-through the retrials (one shifted diagonal) and to the level below through
-the single unknown x(c, j-1): the orbit grows only from (c, j-1).
-:func:`solve_resolvents` therefore eliminates the levels from j = N - c down
-to 0 (the linear level reduction of Gaver, Jacobs & Latouche, Adv. Appl.
-Prob. 16, 1984).  A level's Schur complement is tridiagonal plus one dense
-column (state c); one Thomas pass solves it, and its solution is affine in
-the one scalar x(c, j-1).  A back-substitution from j = 0 upward then
-recovers x.  The tridiagonal pivots do not depend on the levels above, so
-they are factored for all levels at once before the sweep.
+orbit level j, a block of c + 1 states, each level couples to the level
+above through the retrials and to the level below through the one unknown
+x(c, j-1).  :func:`solve_resolvents` therefore eliminates the levels from
+j = N - c down to 0 (linear level reduction: Gaver, Jacobs & Latouche, Adv.
+Appl. Prob. 16, 1984).  A level's Schur complement is tridiagonal plus one
+dense column; one Thomas pass solves it, affine in x(c, j-1), and a
+back-substitution from j = 0 upward recovers x.  All the shifts of a time
+grid travel through the sweep together as vectors, in longdouble.
 
-The sweep performs the same operations for every shift s, so all the shifts
-of a time grid travel through it together as vectors.  It runs in longdouble
-without pivoting: M(s)^T is column diagonally dominant for s > 0, so every
-pivot is positive and elimination in any order is stable.  Every solution is
-residual-checked in longdouble against the entries of
-:attr:`~GeneratorMatrix.matrix_extended`, gathered along the rows of Q^T, not
-against the sweep's rates: near s = 0 the solution has size 1/s, and a
-double-precision residual there is one rounding step, not a measurement.
-
-The stationary vector solves pi Q = 0 with one balance equation replaced by
-sum(pi) = 1, by sparse LU, after a structural check that the chain has
-exactly one closed class; it also serves generators without a lattice.
-:func:`stationary_fvt` approaches the same vector as the final-value limit
-s p*(s), through :func:`solve_resolvents`, the one resolvent entry point.
-
-The sweep and its residual check use numpy alone, so the inversion route
-loads no scipy; ``scipy.sparse``, its ``csgraph`` and ``sparse.linalg`` are
-imported in the function bodies of the stationary solve.
+No pivot subtracts.  As in the state reduction of Grassmann, Taksar &
+Heyman (Oper. Res. 33, 1985), with s as a killing rate, each pivot is a sum
+of nonnegative rates of leaving the states not yet eliminated: a row i < c
+pivots on its arrival rate plus its rate of leaving the level (a retrial
+down, or death at rate s) directly or through the rows below it; (c, j)
+pivots on s times one plus the time spent above level j, plus the rate at
+which the level's rows below c leave the level.  So the sweep stays
+accurate as s -> 0, and at s = 0 the pivot of (c, 0) is exactly 0: pinning
+x(c, 0) = 1 there gives the null vector of Q that :func:`stationary_nullspace`
+normalizes.  Every solution is residual-checked in longdouble against the
+entries of :attr:`~GeneratorMatrix.matrix_extended`, gathered along the rows
+of Q^T: near s = 0 the solution has size 1/s, and a double-precision
+residual there is one rounding step, not a measurement.  The module uses
+numpy alone.
 """
 
 from __future__ import annotations
@@ -61,13 +55,12 @@ SWEEP_ENTRIES = 2 ** 18
 
 
 def _level_rates(gen: GeneratorMatrix):
-    """The rates of :attr:`~GeneratorMatrix.matrix_extended`, level-major.
+    """The off-diagonal rates of :attr:`~GeneratorMatrix.matrix_extended`, level-major.
 
-    Returns ``(exit, arrival, recovery, retrial, orbit)``.  All but ``orbit``
-    have shape (N - c + 1, c + 1) and are indexed [j, i] by the state (i, j)
-    whose equation the rate enters:
+    Returns ``(arrival, recovery, retrial, orbit)``.  All but ``orbit`` have
+    shape (N - c + 1, c + 1) and are indexed [j, i] by the state (i, j) whose
+    equation the rate enters:
 
-    - exit[j, i]      d(i, j), minus the diagonal of Q;
     - arrival[j, i]   the rate (i-1, j) -> (i, j), 0 at i = 0;
     - recovery[j, i]  the rate (i+1, j) -> (i, j), 0 at i = c;
     - retrial[j, i]   the rate (i-1, j+1) -> (i, j), 0 at i = 0 and j = N - c;
@@ -86,74 +79,81 @@ def _level_rates(gen: GeneratorMatrix):
     stored[stored] = keys[at[stored]] == wanted[stored]
     rate = np.zeros(src.size, dtype=np.longdouble)
     rate[stored] = q.data[at[stored]]
-    diagonal = q.diagonal()
-    if np.count_nonzero(rate) != np.count_nonzero(q.data) - np.count_nonzero(diagonal):
+    if np.count_nonzero(rate) != np.count_nonzero(q.data) - np.count_nonzero(q.diagonal()):
         raise ModelError("generator has transitions off the lattice stencil")
     c, width = space.c, space.width
     by_source = np.zeros((4, c + 1, width), dtype=np.longdouble)  # [family, i, j] of the source
     i, j = np.divmod(src, width)
     by_source[family, i, j] = rate
-    exit_rate = np.ascontiguousarray(-diagonal.reshape(c + 1, width).T)
-    arrival, recovery, retrial = (np.zeros_like(exit_rate) for _ in range(3))
+    arrival, recovery, retrial = (np.zeros((width, c + 1), dtype=np.longdouble) for _ in range(3))
     arrival[:, 1:] = by_source[0, :-1].T
     recovery[:, :-1] = by_source[1, 1:].T
     retrial[:-1, 1:] = by_source[2, :-1, 1:].T
     orbit = np.zeros(width, dtype=np.longdouble)
     orbit[1:] = by_source[3, c, :-1]
-    return exit_rate, arrival, recovery, retrial, orbit
+    return arrival, recovery, retrial, orbit
 
 
+@np.errstate(all="ignore")  # a zero or overflowing pivot shows in the residual check
 def _sweep(rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M(s)^T x = b for every shift in ``s`` by the level sweep.
+    """Solve M(s)^T x = b for every shift in ``s`` by the level sweep, as x[state, k].
 
-    ``b`` is level-major, [j, i]; the result is x[j, i, k] for shift s[k].
     Each level's solution is kept as offset u and slope w, x_j = u_j + w_j
-    x(c, j-1).  For b >= 0 every quantity below is nonnegative, and the only
-    subtractions are in the pivots, which stay >= s.
+    x(c, j-1).  Where the pivot of (c, 0) is exactly 0, x(c, 0) is 1.
     """
-    exit_rate, arrival, recovery, retrial, orbit = rates
-    levels, units = exit_rate.shape
+    arrival, recovery, retrial, orbit = rates
+    levels, units = arrival.shape
     c = units - 1
-    # Thomas pivots of the tridiagonal part of every level.  mult[j, i] is the
-    # negated multiplier arrival / pivot of row i - 1.
-    pivot = exit_rate[:, :, None] + s
-    mult = np.empty_like(pivot)
-    for i in range(1, c):
-        mult[:, i] = arrival[:, i, None] / pivot[:, i - 1]
-        pivot[:, i] -= mult[:, i] * recovery[:, i - 1, None]
-    mult[:, c] = arrival[:, c, None] / pivot[:, c - 1]
-    last = pivot[:, c].copy()  # row c of each level, before its coupling to the level above
-    inv = np.reciprocal(pivot[:, :c], out=pivot[:, :c])
+    b = b.reshape(units, levels).T  # level-major, [j, i]
+    # Rows i < c of all levels, laid out [i, j, k] for contiguous slices over i:
+    # inv is 1 / pivot, and leave and fwd are the rates of leaving the level
+    # (directly or through lower rows) and of arrival, times inv.
+    up = arrival.T[1:, :, None]  # (i, j) -> (i+1, j)
+    leave = np.tile(s, (c, levels, 1))
+    leave[:, 1:] += retrial.T[1:, :-1, None]  # (i, j) -> (i+1, j-1)
+    inv = np.empty_like(leave)
+    for i in range(c):
+        if i:
+            leave[i] += recovery.T[i - 1, :, None] * leave[i - 1]
+        np.reciprocal(up[i] + leave[i], out=inv[i])
+        leave[i] *= inv[i]
+    fwd = up * inv
 
     # sol[j, i, 0] is the slope w, sol[j, i, 1] the offset u
     sol = np.zeros((levels, units, 2, s.size), dtype=np.longdouble)
+    above = np.zeros_like(s)  # time spent above level j per unit time at (c, j)
     for j in range(levels - 1, -1, -1):
         # rows i < c: column c (entry (i, c) negated), then the right-hand side
         z = sol[j, :c]
         z[:, 1] = b[j, :c, None]
-        tail_c, rhs_c = 0.0, b[j, c]
+        rhs_c = b[j, c]
         if j + 1 < levels:  # retrials from the level above, (i-1, j+1) -> (i, j)
             inflow = retrial[j, 1:, None, None] * sol[j + 1, :c]
             z[1:] += inflow[:-1]
-            tail_c, rhs_c = inflow[-1, 0], rhs_c + inflow[-1, 1]
+            rhs_c = rhs_c + inflow[-1, 1]
         z[c - 1, 0] += recovery[j, c - 1]  # (c, j) -> (c-1, j) sits in column c too
-        mult_j, ratio_j = mult[j], recovery[j, :c - 1, None] * inv[j, :c - 1]
+        fwd_j, inv_j = fwd[:, j], inv[:, j]
+        rows = list(z)  # views of z's rows: += on a list item copies nothing back into z
         for i in range(1, c):
-            z[i] += mult_j[i] * z[i - 1]
+            rows[i] += fwd_j[i - 1] * rows[i - 1]
         top = sol[j, c]
-        denominator = last[j] - tail_c - mult[j, c] * z[c - 1, 0]
+        denominator = s * (1 + above) + np.einsum("ik,ik->k", leave[:, j], z[:, 0])
         top[0] = orbit[j] / denominator
-        top[1] = (rhs_c + mult[j, c] * z[c - 1, 1]) / denominator
-        z *= inv[j][:, None]
+        top[1] = (rhs_c + fwd_j[c - 1] * z[c - 1, 1]) / denominator
+        if j == 0:  # the pivot of (c, 0) is exactly 0 only at s = 0, where b = 0
+            top[1][denominator == 0] = 1
+        z *= inv_j[:, None]
         z[:, 1] += z[:, 0] * top[1]
         z[:, 0] *= top[0]
+        ratio_j = recovery[j, :c - 1, None] * inv_j[:c - 1]
         for i in range(c - 2, -1, -1):
-            z[i] += ratio_j[i] * z[i + 1]
+            rows[i] += ratio_j[i] * rows[i + 1]
+        above = sol[j, :, 0].sum(axis=0) + top[0] * above
 
     x, slope = sol[:, :, 1], sol[:, :, 0]
     for j in range(1, levels):
         x[j] += slope[j] * x[j - 1, c]
-    return x
+    return x.transpose(1, 0, 2).reshape(b.size, s.size)
 
 
 def _transposed(q: CsrArrays):
@@ -171,27 +171,25 @@ def _transposed(q: CsrArrays):
     return source, weight
 
 
-def _solve_batch(rates, qt, s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sweep at the shifts ``s``, as x[k, state]; every row residual-checked.
+@np.errstate(all="ignore")
+def _checked(qt, s: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` if every column x[:, k] has max |s x - Q^T x - b| <= RESIDUAL_TOL, else NumericalError.
 
-    ``qt`` is :func:`_transposed` of :attr:`~GeneratorMatrix.matrix_extended`:
-    the residual reads Q's own entries, not ``rates``.
+    ``qt`` is :func:`_transposed` of :attr:`~GeneratorMatrix.matrix_extended`,
+    so the residual reads Q's own entries; a NaN fails the check.
     """
-    levels, units = rates[0].shape
-    with np.errstate(all="ignore"):  # a zero or overflowing pivot shows in the residual
-        x = _sweep(rates, s, b.reshape(units, levels).T).transpose(1, 0, 2).reshape(b.size, -1)
-        source, weight = qt
-        r = np.repeat(b[:, None], s.size, axis=1)
-        for m in range(source.shape[1]):  # r = Q^T x + b, one slot of Q^T's rows at a time
-            term = x[source[:, m]]
-            term *= weight[:, m, None]
-            r += term
-        residual = np.abs(np.subtract(x * s, r, out=r), out=r).max(axis=0)
+    source, weight = qt
+    r = np.repeat(b[:, None], s.size, axis=1)
+    for m in range(source.shape[1]):  # r = Q^T x + b, one slot of Q^T's rows at a time
+        term = x[source[:, m]]
+        term *= weight[:, m, None]
+        r += term
+    residual = np.abs(np.subtract(x * s, r, out=r), out=r).max(axis=0)
     worst = int(np.argmax(residual))  # the first NaN, if any
     if not residual[worst] <= RESIDUAL_TOL:
         raise NumericalError(f"resolvent solve residual {residual[worst]:.3e} exceeds "
                              f"{RESIDUAL_TOL:.1e} at s={float(s[worst])}")
-    return x.T
+    return x
 
 
 def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
@@ -215,55 +213,55 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     rates, qt = _level_rates(gen), _transposed(gen.matrix_extended)
     width = max(1, SWEEP_ENTRIES // gen.dim)
     chunks = (slice(k, k + width) for k in range(0, shifts.size, width))
-    return ((cols, _solve_batch(rates, qt, shifts[cols], b)) for cols in chunks)
-
-
-def _closed_classes(q) -> int:
-    """Number of closed communicating classes of the transition graph of the CSR matrix Q."""
-    from scipy.sparse.csgraph import connected_components
-
-    n_classes, labels = connected_components(q, directed=True, connection="strong")
-    rows, cols = q.nonzero()
-    leaving = labels[rows] != labels[cols]
-    has_exit = np.zeros(n_classes, dtype=bool)
-    has_exit[labels[rows[leaving]]] = True
-    return int(n_classes - has_exit.sum())
+    return ((cols, _checked(qt, shifts[cols], b, _sweep(rates, shifts[cols], b)).T) for cols in chunks)
 
 
 def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
-    """Stationary vector: the normalized left null vector of Q, by sparse LU.
+    """Stationary vector: the normalized left null vector of Q, by the level sweep at s = 0.
 
-    Solves pi Q = 0 with the last balance equation replaced by sum(pi) = 1.
-    That system is nonsingular exactly when Q is conservative and the chain
-    has one closed class (transient states allowed).  Both are checked
-    exactly first, because an LU notices a second closed class only if a
-    pivot happens to come out exactly zero.
+    Q must be conservative and on a lattice.  A closed segment is a level's
+    states 0..m, where m is the first with no move up (to i + 1, or from
+    i = c to the level above) and none of 0..m retries down.  The closed
+    classes of every :func:`build_generator` chain follow from them.  As
+    mu > 0 takes any state to (0, j), every closed class holds some (0, j)
+    and the states a walk up level j reaches from it.  With theta > 0,
+    (0, j) retries to (1, j-1) and recovers to (0, j-1), so the one closed
+    class holds (0, 0); only level 0, whose row 0 does not retry, can hold a
+    segment, which is then the class; without one the walk up level 0
+    reaches (c, 0).  With theta = 0 a segment is closed and, being
+    birth-death, communicating, while from (0, j) of any other level the
+    walk up reaches level j + 1 for good: the segments are the classes.
+
+    Two or more segments raise ModelError; one gives its birth-death product
+    form.  With none, the sweep at s = 0 pins x(c, 0) = 1: the chain reaches
+    (c, 0) from every state, so every earlier pivot is positive.  On other
+    lattice generators, unless a segment was found, a closed class the rule
+    misses shows as an exactly zero pivot, which the residual check reports.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    q = gen.matrix
-    scale = max(1.0, float(np.abs(q.diagonal()).max(initial=0.0)))
+    scale = max(1.0, float(np.abs(gen.exit_rates()).max(initial=0.0)))
     if np.abs(gen.row_sums()).max(initial=0.0) > 1e-12 * scale:
         raise ModelError("generator is not conservative: row sums are not zero")
-    closed = _closed_classes(q)
-    if closed != 1:
-        raise ModelError(f"chain is reducible: {closed} closed classes")
-    balance = q.T.tocsr()
-    normalization = sparse.csr_matrix(np.ones((1, gen.dim)))
-    system = sparse.vstack([balance[:-1], normalization])
-    rhs = np.zeros(gen.dim)
-    rhs[-1] = 1.0
-    try:
-        pi = splu(sparse.csc_matrix(system)).solve(rhs)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NumericalError(f"singular pivot in the stationary system: {exc}") from exc
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    residual = float(np.abs(q.T @ pi).max())
-    if not residual <= 1e-10:
-        raise NumericalError(f"stationary residual {residual:.3e} exceeds 1e-10")
-    return ProbabilityVector(pi, np.inf, Provenance.STATIONARY, gen.space)
+    rates = _level_rates(gen)
+    arrival, recovery, retrial, orbit = rates
+    up, down = np.zeros_like(arrival), np.zeros_like(arrival)  # rates out of [j, i]
+    up[:, :-1], up[:-1, -1] = arrival[:, 1:], orbit[1:]
+    down[1:, :-1] = retrial[:-1, 1:]
+    ends = (up == 0) & (np.cumsum(down, axis=1) == 0)  # [j, m]: a closed segment ends at m
+    closed = np.flatnonzero(ends.any(axis=1))
+    if closed.size > 1:
+        raise ModelError(f"chain is reducible: {closed.size} closed classes")
+    zero, b = np.zeros(1, dtype=np.longdouble), np.zeros(gen.dim, dtype=np.longdouble)
+    with np.errstate(all="ignore"):  # a zero pivot shows in the residual check
+        if closed.size:
+            j = closed[0]
+            m = int(np.argmax(ends[j]))
+            x = np.zeros((gen.dim, 1), dtype=np.longdouble)
+            x[j + gen.space.width * np.arange(m + 1), 0] = np.cumprod(
+                np.r_[1, arrival[j, 1:m + 1] / recovery[j, :m]])
+        else:
+            x = _sweep(rates, zero, b)
+        pi = _checked(_transposed(gen.matrix_extended), zero, b, x / x.sum())
+    return ProbabilityVector(pi[:, 0], np.inf, Provenance.STATIONARY, gen.space)
 
 
 @dataclass(frozen=True, eq=False)

@@ -227,17 +227,18 @@ def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
 def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
     """Per-state targets and cumulative rates of the moves in :func:`transitions`.
 
-    Returns (exit_rate[s], cum_rates[s, 0:4], targets[s, 0:4]): a state's moves
-    fill its first slots in family order, and the rest are padded with the
-    row's total, so a uniform draw below the exit rate never selects a padded
+    Returns (exit_rate[s], cum_rates[s, :], targets[s, :]), as wide as the
+    most moves of any state (3, or 2 at c = 1).  A state's moves fill its
+    first slots in family order, and the rest are padded with the row's
+    total, so a uniform draw below the exit rate never selects a padded
     slot.  The exit rate is the last cumulative rate; it can differ from
     -diag(Q), which sums the same rates in column order, in the last bits.
     """
     src, dst, rate = transitions(cfg, rate_fn)
     size = cfg.space.size
     slot = np.arange(src.size) - np.searchsorted(src, src)  # rank within the state's moves
-    targets = np.zeros((size, 4), dtype=np.int64)
-    rates = np.zeros((size, 4))
+    targets = np.zeros((size, slot.max() + 1), dtype=np.int64)
+    rates = np.zeros(targets.shape)
     targets[src, slot] = dst
     rates[src, slot] = rate
     cum = np.cumsum(rates, axis=1)
@@ -255,6 +256,7 @@ def simulate_gillespie(cfg: ModelConfig, rate_fn: RateFunction, horizon: float,
         raise DomainError(f"horizon must be > 0, got {horizon}")
     space = cfg.space
     exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    last = cum.shape[1] - 1
     # plain-Python tables keep the event loop cheap
     totals = exit_rate.tolist()
     cum_rows = [row.tolist() for row in cum]
@@ -285,7 +287,7 @@ def simulate_gillespie(cfg: ModelConfig, rate_fn: RateFunction, horizon: float,
         pos += 1
         row = cum_rows[state]
         slot = 0
-        while row[slot] <= u and slot < 3:
+        while row[slot] <= u and slot < last:
             slot += 1
         state = target_rows[state][slot]
         times.append(t)
@@ -315,9 +317,9 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
     jump falls past the grid time or its state is absorbing, and every
     replica is live again, at the previous grid time, when the next interval
     starts.  A mover's slot counts its cumulative rates below the uniform
-    draw; rows are nondecreasing and padded with their total, so three
-    compares suffice.  The metadata counts the jumps taken (``events``) and
-    the lockstep rounds (``rounds``).
+    draw; rows are nondecreasing and end in their total, so all but the
+    last column need a compare.  The metadata counts the jumps taken
+    (``events``) and the lockstep rounds (``rounds``).
     """
     if replicas < MIN_REPLICAS:
         raise DomainError(f"replicas must be >= {MIN_REPLICAS}, got {replicas}")
@@ -325,7 +327,7 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
 
     space = cfg.space
     exit_rate, cum, targets = _transition_table(cfg, rate_fn)
-    cum0, cum1, cum2 = (np.ascontiguousarray(cum[:, k]) for k in range(3))
+    columns = [np.ascontiguousarray(cum[:, k]) for k in range(cum.shape[1] - 1)]
     rng = np.random.default_rng(seed)
 
     state = np.full(replicas, space.index(*cfg.initial_state), dtype=np.int64)
@@ -349,9 +351,9 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
             live, clock = live.take(moving), t_new.take(moving)
             src = state[live]
             u = rng.uniform(0.0, lam.take(moving))
-            slot = (cum0[src] < u).astype(np.int64)
-            slot += cum1[src] < u
-            slot += cum2[src] < u
+            slot = np.zeros(src.size, dtype=np.int64)
+            for column in columns:
+                slot += column[src] < u
             state[live] = targets[src, slot]
             events += live.size
         start = t_q

@@ -35,3 +35,38 @@ def tiny_generator(tiny_config):
 def two_state_toy():
     # symmetric toy generator, closed-form transient and stationary behavior
     return rs.GeneratorMatrix.from_dense(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+
+def splu_stationary_vector(gen):
+    """pi by sparse LU on the chain's one closed class, zero on its transient states.
+
+    The package's former stationary solve, kept as an oracle independent of
+    the level sweep: strongly connected components find the closed classes,
+    a chain without exactly one is rejected with the package's message, and
+    the class's balance equations, one replaced by sum(pi) = 1, go to
+    SuperLU.  On all of Q^T that LU meets an exactly zero pivot on some
+    theta = 0 chains, whose transient states take very long to leave.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import splu
+
+    q = gen.matrix
+    n_classes, labels = connected_components(q, directed=True, connection="strong")
+    rows, cols = q.nonzero()
+    closed = np.setdiff1d(np.arange(n_classes), labels[rows[labels[rows] != labels[cols]]])
+    if closed.size != 1:
+        raise rs.ModelError(f"chain is reducible: {closed.size} closed classes")
+    members = np.flatnonzero(labels == closed[0])
+    balance = q[members][:, members].T.tocsr()
+    system = sparse.vstack([balance[:-1], sparse.csr_matrix(np.ones((1, members.size)))])
+    rhs = np.zeros(members.size)
+    rhs[-1] = 1.0
+    pi = np.zeros(gen.dim)
+    pi[members] = np.clip(splu(sparse.csc_matrix(system)).solve(rhs), 0.0, None)
+    return pi / pi.sum()
+
+
+@pytest.fixture(scope="session")
+def splu_stationary():
+    return splu_stationary_vector

@@ -424,6 +424,23 @@ class TestOtherCommands:
             gen = rs.build_generator(model, rs.rate_function(model))
             assert np.abs(gen.matrix.T @ pi).max() <= 1e-10
 
+    @pytest.mark.parametrize("theta", [0.0, 2.0])
+    def test_stationary_of_an_isolated_tagged_node(self, tmp_path, theta):
+        # node 5 has no contacts, so nothing arrives: at theta = 0 every (0, j)
+        # is absorbing, and at theta = 2 the orbit drains into (0, 0)
+        (tmp_path / "graph.txt").write_text("n 6\n0 1\n1 2\n2 3\n3 4\n")
+        cfg = tmp_path / "isolated.yaml"
+        cfg.write_text(f"model: {{N: 6, c: 2, alpha: 5.0, mu: 0.4, theta: {theta}, "
+                       "mode: heterogeneous, tagged_node: 5}\ngraph_path: graph.txt\n")
+        out = tmp_path / "out"
+        code = main(["stationary", "--config", str(cfg), "--out", str(out), "--no-metadata"])
+        if theta == 0.0:
+            assert code == 2
+            return
+        assert code == 0
+        rows = [f"{i},{j},{1.0 if i == j == 0 else 0.0}\n" for i in range(3) for j in range(5)]
+        assert (out / "stationary.csv").read_text() == "i,j,probability\n" + "".join(rows)
+
     def test_simulate_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -565,3 +582,15 @@ class TestScipyLoading:
     def test_uniformization_solve_loads_no_stationary_solver(self, tmp_path):
         loaded = self.scipy_modules(tmp_path, "solve", "--method", "uniformization")
         assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph"}
+
+    def test_stationary_loads_no_scipy(self, tmp_path):
+        assert self.scipy_modules(tmp_path, "stationary") == set()
+
+    def test_ilt_solve_with_stationary_output_loads_no_scipy(self, tmp_path):
+        wellmixed = REPO / "demos" / "configs" / "wellmixed.yaml"  # its outputs include stationary
+        assert self.scipy_modules(tmp_path, "solve", "--method", "ilt", config=wellmixed) == set()
+
+    def test_uniformization_with_stationary_output_loads_no_stationary_solver(self, tmp_path):
+        wellmixed = REPO / "demos" / "configs" / "wellmixed.yaml"
+        loaded = self.scipy_modules(tmp_path, "solve", "--method", "uniformization", config=wellmixed)
+        assert "scipy.sparse" in loaded and not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph"}

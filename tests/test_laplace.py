@@ -4,7 +4,7 @@ from scipy.sparse import csr_matrix
 
 import retrialsi as rs
 from retrialsi import GeneratorMatrix, ModelConfig, laplace
-from retrialsi.errors import DomainError, ModelError
+from retrialsi.errors import DomainError, ModelError, NumericalError
 from retrialsi.laplace import DEFAULT_S_GRID, RESIDUAL_TOL, solve_resolvents
 
 SMALL_CONFIGS = [(2, 1), (10, 5), (20, 5), (20, 15)]  # all |state space| <= 100
@@ -36,13 +36,13 @@ def solve(gen, shifts, rhs):
 
 
 def resolvent_from_rates(gen, s):
-    """M(s) in longdouble, rebuilt from the level sweep's rates alone."""
-    exit_rate, arrival, recovery, retrial, orbit = laplace._level_rates(gen)
+    """M(s) in longdouble, its off-diagonal rebuilt from the level sweep's rates alone."""
+    arrival, recovery, retrial, orbit = laplace._level_rates(gen)
     w, c = gen.space.width, gen.space.c
-    j, i = np.indices(exit_rate.shape)
+    j, i = np.indices(arrival.shape)
     state = i * w + j  # [j, i]: the state whose equation the rate enters
     m = np.zeros((gen.dim, gen.dim), dtype=np.longdouble)
-    m[state, state] = s + exit_rate
+    m[state, state] = s - gen.matrix_extended.diagonal()[state]
     m[state[:, 1:] - w, state[:, 1:]] = -arrival[:, 1:]  # from (i-1, j)
     m[state[:, :-1] + w, state[:, :-1]] = -recovery[:, :-1]  # from (i+1, j)
     m[state[:-1, 1:] - w + 1, state[:-1, 1:]] = -retrial[:-1, 1:]  # from (i-1, j+1)
@@ -203,16 +203,18 @@ class TestLevelSweep:
             solve_resolvents(GeneratorMatrix.from_dense(off, wellmixed_generator.space), [1.0], v)
 
 
-class TestStationaryNullspace:
-    def test_two_state_toy(self, two_state_toy):
-        pi = rs.stationary_nullspace(two_state_toy)
-        np.testing.assert_allclose(pi.values, [0.5, 0.5], atol=1e-14)
-        assert pi.provenance is rs.Provenance.STATIONARY
+def zero_arrival_generator(theta):
+    """N = 10, c = 3 with no arrivals: every (0, j) is absorbing unless theta > 0 drains the orbit."""
+    cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=theta)
+    return rs.build_generator(cfg, lambda i, j: 0.0)
 
+
+class TestStationaryNullspace:
     def test_normalization(self, wellmixed_generator):
         pi = rs.stationary_nullspace(wellmixed_generator)
         assert abs(pi.total - 1.0) <= 1e-12
         assert pi.values.min() >= 0.0
+        assert pi.provenance is rs.Provenance.STATIONARY
 
     def test_agrees_with_long_horizon(self, wellmixed_generator, wellmixed_p0):
         pi = rs.stationary_nullspace(wellmixed_generator)
@@ -231,20 +233,55 @@ class TestStationaryNullspace:
         grid = pi.values.reshape(6, 6)
         assert grid[:, -1].sum() == pytest.approx(1.0)  # all mass at a full orbit
 
-    def test_reducible_chain_rejected(self):
-        blocks = np.zeros((4, 4))
-        blocks[:2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
-        blocks[2:, 2:] = [[-2.0, 2.0], [2.0, -2.0]]
-        # two closed classes, {0, 1, 2} and {3, 4}, both fed by the transient state 5
-        fed = [[-5, 2, 3, 0, 0, 0], [1, -3, 2, 0, 0, 0], [3, .5, -3.5, 0, 0, 0],
-               [0, 0, 0, -.5, .5, 0], [0, 0, 0, 1, -1, 0], [0, .5, .5, 1, 1, -3]]
-        for q in (blocks, fed):
-            with pytest.raises(ModelError):
-                rs.stationary_nullspace(GeneratorMatrix.from_dense(q))
+    @pytest.mark.parametrize("N,c", [(30, 1), (400, 1), (400, 200)])
+    def test_matches_sparse_lu(self, N, c, splu_stationary):
+        # at c = 1 a pin on the subtracting sweep's last pivot was off by 0.475 (N = 30)
+        _, gen = make_gen(N, c)
+        pi = rs.stationary_nullspace(gen)
+        assert np.abs(pi.values - splu_stationary(gen)).max() <= 1e-14
 
-    def test_nonconservative_rejected(self):
-        with pytest.raises(ModelError):
-            rs.stationary_nullspace(GeneratorMatrix.from_dense([[-1.0, 0.5], [0.5, -1.0]]))
+    def test_reducible_chain_rejected(self):
+        # without arrivals or retrials each of the 8 levels keeps its own (0, j)
+        with pytest.raises(ModelError, match="8 closed classes"):
+            rs.stationary_nullspace(zero_arrival_generator(0.0))
+
+    def test_closed_class_without_the_pinned_state(self):
+        # retrials drain the orbit into (0, 0), which nothing leaves; a pin at (c, 0) would miss it
+        pi = rs.stationary_nullspace(zero_arrival_generator(1.0))
+        assert pi.values[0] == 1.0 and np.count_nonzero(pi.values) == 1
+
+    def test_nonconservative_rejected(self, wellmixed_generator):
+        q = wellmixed_generator.toarray()
+        q[7, 7] -= 0.5
+        with pytest.raises(ModelError, match="not conservative"):
+            rs.stationary_nullspace(GeneratorMatrix.from_dense(q, wellmixed_generator.space))
+
+    def test_zero_pivot_fails_the_residual(self):
+        # an absorbing (1, 1) the closed-segment rule does not see, since (0, 1)
+        # retries down: the sweep's pivot of (1, 1) is exactly zero
+        cfg, gen = make_gen(6, 3)
+        q = gen.toarray()
+        q[cfg.space.index(1, 1)] = 0.0
+        with pytest.raises(NumericalError, match="residual"):
+            rs.stationary_nullspace(GeneratorMatrix.from_dense(q, cfg.space))
+
+    def test_no_state_space_rejected(self, wellmixed_generator):
+        with pytest.raises(ModelError, match="state space"):
+            rs.stationary_nullspace(GeneratorMatrix(wellmixed_generator.csr))
+
+
+class TestSweepNearZero:
+    @pytest.mark.parametrize("s", [1e-12, 1e-15, 1e-18])
+    def test_final_value_limit(self, s):
+        # Calls the sweep without the residual check, which solve_resolvents
+        # runs: x has size 1 / s there, so its longdouble residual cannot
+        # reach RESIDUAL_TOL.  A subtracting pivot of (c, 0) gave 4.7e-8,
+        # 1.6e-5 and 7.8e-3 at these shifts.
+        cfg, gen = make_gen(200, 100)
+        pi = rs.stationary_nullspace(gen).values
+        p0 = rs.delta_vector(cfg.space, cfg.initial_state).values.astype(np.longdouble)
+        x = laplace._sweep(laplace._level_rates(gen), np.array([s], dtype=np.longdouble), p0)
+        assert np.abs(s * x[:, 0] - pi).max() <= 1e-11
 
 
 class TestStationaryFvt:

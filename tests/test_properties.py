@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from scipy.sparse import coo_matrix, csr_matrix, diags  # noqa: E402
 from scipy.sparse.csgraph import connected_components  # noqa: E402
 
@@ -145,3 +145,31 @@ def test_stationary_flux_balances_across_level_cuts(model):
             up = flow[(level[src] <= cut) & (level[dst] > cut)].sum()
             down = flow[(level[src] > cut) & (level[dst] <= cut)].sum()
             assert abs(up - down) <= bound, (cut, up, down)
+
+
+def covered(N, c, theta, tagged_node=None):
+    """A model the generated ones may miss: c = 1 or N - 1, theta = 0, or contacts on ring_with_hub(N)."""
+    mode = "homogeneous" if tagged_node is None else "heterogeneous"
+    cfg = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=theta, mode=mode, tagged_node=tagged_node)
+    return cfg, rs.ring_with_hub(N)
+
+
+@PROPERTY_SETTINGS
+@given(model=models())
+@example(model=covered(12, 1, 0.0))
+@example(model=covered(12, 11, 0.0))
+@example(model=covered(10, 1, 2.0, tagged_node=0))
+@example(model=covered(10, 9, 0.0, tagged_node=2))
+@example(model=covered(10, 5, 2.0, tagged_node=2))
+def test_stationary_matches_sparse_lu(model, splu_stationary):
+    # the level sweep at s = 0, or the closed-segment rule, against the former
+    # sparse-LU solve; both reject the same chains with the same message
+    cfg, graph = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    try:
+        expected = splu_stationary(gen)
+    except rs.ModelError as exc:
+        with pytest.raises(rs.ModelError, match=str(exc)):
+            rs.stationary_nullspace(gen)
+        return
+    assert np.abs(rs.stationary_nullspace(gen).values - expected).max() <= 1e-14

@@ -111,6 +111,15 @@ class TestGillespie:
             if tuple(move) == (0, 1):
                 assert i == wellmixed_config.c  # orbit arrivals only when units saturated
 
+    def test_states_with_three_moves_take_each(self, wellmixed_config):
+        # 0 < i < c, j > 0 has an arrival, a recovery and a retrial; the last
+        # slot of the transition table must stay reachable
+        c = wellmixed_config.c
+        traj = rs.simulate_gillespie(wellmixed_config, rs.rate_function(wellmixed_config), 50.0, 3)
+        (i, j), moves = traj.states[:-1].T, np.diff(traj.states, axis=0)
+        interior = (i > 0) & (i < c) & (j > 0)
+        assert {tuple(m) for m in moves[interior]} == {(1, 0), (-1, 0), (1, -1)}
+
     def test_holding_time_at_origin(self, wellmixed_config):
         # exit rate at (0,0) is alpha = 5, so holding times average 0.2
         rate = rs.rate_function(wellmixed_config)
