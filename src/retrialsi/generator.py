@@ -6,25 +6,20 @@ and the simulator's tables are all derived from that one table.  The diagonal
 of Q carries minus the row's total exit rate, so every row sums to 0.
 
 Q and its longdouble twin are assembled with numpy alone, as the arrays of
-compressed sparse rows (:class:`CsrArrays`), and the structural checks read
-those arrays, so that only uniformization loads scipy:
-:attr:`GeneratorMatrix.matrix` wraps the same arrays in a scipy
-``csr_matrix`` on first use, importing scipy in its body.
+compressed sparse rows (:class:`CsrArrays`); only :attr:`GeneratorMatrix.matrix`,
+a reference view for tests, imports scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelError
 from .model import ModelConfig, RateFunction, StateSpace
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 DENSE_LIMIT = 10_000
 
@@ -63,6 +58,29 @@ class CsrArrays(NamedTuple):
         stored = np.flatnonzero(np.diff(self.indptr))
         sums[stored] = np.add.reduceat(self.data, self.indptr[stored])
         return sums
+
+    def transposed(self):
+        """The transpose as slot-major padded rows ``(source, weight)``, each (slots, dim).
+
+        (A^T x)[k] = sum_m weight[m, k] x[source[m, k]], sources ascending; padding weighs 0.
+        """
+        order = np.argsort(self.indices, kind="stable")
+        cols = self.indices[order]
+        slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within the column
+        source = np.zeros((slot.max(initial=-1) + 1, self.dim), dtype=np.intp)
+        weight = np.zeros(source.shape, dtype=self.data.dtype)
+        source[slot, cols] = self.rows()[order]
+        weight[slot, cols] = self.data[order]
+        return source, weight
+
+
+def add_transposed_product(at, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out += A^T x`` for ``at = A.transposed()``, one slot at a time as scipy's CSC product adds."""
+    for source, weight in zip(*at):
+        term = x[source]
+        term *= weight if x.ndim == 1 else weight[:, None]
+        out += term
+    return out
 
 
 def _csr(rows, cols, values, size: int) -> CsrArrays:
@@ -128,7 +146,7 @@ class GeneratorMatrix:
         return self.csr.dim
 
     @cached_property
-    def matrix(self) -> sparse.csr_matrix:
+    def matrix(self):
         """Q as a scipy ``csr_matrix`` over the same (read-only) arrays, built on first use."""
         from scipy import sparse
 

@@ -29,8 +29,7 @@ x(c, 0) = 1 there gives the null vector of Q that :func:`stationary_nullspace`
 normalizes.  Every solution is residual-checked in longdouble against the
 entries of :attr:`~GeneratorMatrix.matrix_extended`, gathered along the rows
 of Q^T: near s = 0 the solution has size 1/s, and a double-precision
-residual there is one rounding step, not a measurement.  The module uses
-numpy alone.
+residual there is one rounding step, not a measurement.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError
-from .generator import CsrArrays, GeneratorMatrix, _moves
+from .generator import GeneratorMatrix, _moves, add_transposed_product
 from .transient import ProbabilityVector, Provenance
 
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # decreasing shifts of stationary_fvt
@@ -156,34 +155,14 @@ def _sweep(rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(b.size, s.size)
 
 
-def _transposed(q: CsrArrays):
-    """Q^T as padded rows ``(source, weight)``: (Q^T x)[k] = sum_m weight[k, m] x[source[k, m]].
-
-    Row k of Q^T holds the entries of column k of Q; padding slots weigh 0.
-    """
-    order = np.argsort(q.indices, kind="stable")
-    cols = q.indices[order]
-    slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within the column
-    source = np.zeros((q.dim, slot.max(initial=-1) + 1), dtype=np.intp)
-    weight = np.zeros(source.shape, dtype=q.data.dtype)
-    source[cols, slot] = q.rows()[order]
-    weight[cols, slot] = q.data[order]
-    return source, weight
-
-
 @np.errstate(all="ignore")
 def _checked(qt, s: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``x`` if every column x[:, k] has max |s x - Q^T x - b| <= RESIDUAL_TOL, else NumericalError.
 
-    ``qt`` is :func:`_transposed` of :attr:`~GeneratorMatrix.matrix_extended`,
-    so the residual reads Q's own entries; a NaN fails the check.
+    ``qt`` is the transpose of :attr:`~GeneratorMatrix.matrix_extended`, so
+    the residual reads Q's own entries; a NaN fails the check.
     """
-    source, weight = qt
-    r = np.repeat(b[:, None], s.size, axis=1)
-    for m in range(source.shape[1]):  # r = Q^T x + b, one slot of Q^T's rows at a time
-        term = x[source[:, m]]
-        term *= weight[:, m, None]
-        r += term
+    r = add_transposed_product(qt, x, np.repeat(b[:, None], s.size, axis=1))  # Q^T x + b
     residual = np.abs(np.subtract(x * s, r, out=r), out=r).max(axis=0)
     worst = int(np.argmax(residual))  # the first NaN, if any
     if not residual[worst] <= RESIDUAL_TOL:
@@ -210,7 +189,7 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     b = np.asarray(rhs, dtype=np.longdouble)
     if b.shape != (gen.dim,):
         raise DomainError(f"right-hand side has shape {b.shape}, system dimension is {gen.dim}")
-    rates, qt = _level_rates(gen), _transposed(gen.matrix_extended)
+    rates, qt = _level_rates(gen), gen.matrix_extended.transposed()
     width = max(1, SWEEP_ENTRIES // gen.dim)
     chunks = (slice(k, k + width) for k in range(0, shifts.size, width))
     return ((cols, _checked(qt, shifts[cols], b, _sweep(rates, shifts[cols], b)).T) for cols in chunks)
@@ -235,8 +214,9 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
     Two or more segments raise ModelError; one gives its birth-death product
     form.  With none, the sweep at s = 0 pins x(c, 0) = 1: the chain reaches
     (c, 0) from every state, so every earlier pivot is positive.  On other
-    lattice generators, unless a segment was found, a closed class the rule
-    misses shows as an exactly zero pivot, which the residual check reports.
+    lattice generators a closed class the rule misses shows, beside one
+    segment, as a state that never reaches it, which raises ModelError, and
+    without one as an exactly zero pivot, which the residual check reports.
     """
     scale = max(1.0, float(np.abs(gen.exit_rates()).max(initial=0.0)))
     if np.abs(gen.row_sums()).max(initial=0.0) > 1e-12 * scale:
@@ -251,16 +231,25 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
     if closed.size > 1:
         raise ModelError(f"chain is reducible: {closed.size} closed classes")
     zero, b = np.zeros(1, dtype=np.longdouble), np.zeros(gen.dim, dtype=np.longdouble)
+    qt = gen.matrix_extended.transposed()
     with np.errstate(all="ignore"):  # a zero pivot shows in the residual check
         if closed.size:
             j = closed[0]
             m = int(np.argmax(ends[j]))
+            segment = j + gen.space.width * np.arange(m + 1)
+            reached, new = np.zeros(gen.dim, dtype=bool), segment
+            while new.size:  # add the states with a positive rate into a reached one
+                reached[new] = True
+                into = qt[0][:, new][qt[1][:, new] > 0]
+                new = np.unique(into[~reached[into]])
+            if not reached.all():
+                raise ModelError(f"chain is reducible: {np.count_nonzero(~reached)} states "
+                                 f"never reach the closed class of level {j}")
             x = np.zeros((gen.dim, 1), dtype=np.longdouble)
-            x[j + gen.space.width * np.arange(m + 1), 0] = np.cumprod(
-                np.r_[1, arrival[j, 1:m + 1] / recovery[j, :m]])
+            x[segment, 0] = np.cumprod(np.r_[1, arrival[j, 1:m + 1] / recovery[j, :m]])
         else:
             x = _sweep(rates, zero, b)
-        pi = _checked(_transposed(gen.matrix_extended), zero, b, x / x.sum())
+        pi = _checked(qt, zero, b, x / x.sum())
     return ProbabilityVector(pi[:, 0], np.inf, Provenance.STATIONARY, gen.space)
 
 

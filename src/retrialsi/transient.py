@@ -4,25 +4,25 @@ Uniformization expresses P(t) = P(0) exp(Q t) as a Poisson mixture of powers of
 the stochastic matrix U = I + Q / Lambda, truncated with an explicit total
 variation bound.  It serves as the oracle the inverse-transform solver is
 checked against.  Gillespie sampling provides a third, statistical route.
-
-scipy is imported in the function bodies that use it: uniformization loads
-``scipy.sparse`` and ``scipy.special``, and the two sampling routes load none.
+No route loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
-from .generator import GeneratorMatrix, transitions
+from .generator import GeneratorMatrix, _csr, add_transposed_product, transitions
 from .model import ModelConfig, RateFunction, State, StateSpace
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
 EPS_MAX = 1e-6  # largest total-variation bound uniformization accepts
 MIN_REPLICAS = 1000  # fewest replicas a Monte Carlo estimate accepts
+MAX_POISSON_MEAN = 10 ** 6  # largest Lambda * t uniformization accepts, ~1e3 in the shipped configs
 
 
 class Provenance(str, Enum):
@@ -164,14 +164,12 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
     Computed in log space, then renormalized so the truncation mass is
     redistributed proportionally.
     """
-    from scipy.special import gammaln
-
     if q == 0.0:
         return np.ones(1)
     # generous upper bound for the support scan
     hi = int(np.ceil(q + 12.0 * np.sqrt(q) + 60.0))
     n = np.arange(hi + 1)
-    logw = -q + n * np.log(q) - gammaln(n + 1)
+    logw = -q + n * np.log(q) - np.fromiter(map(math.lgamma, range(1, hi + 2)), float, hi + 1)
     w = np.exp(logw)
     cum = np.cumsum(w)
     cut = int(np.searchsorted(cum, 1.0 - eps))
@@ -183,8 +181,6 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
 def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
                eps: float = 1e-10) -> ProbabilityVector:
     """Propagate ``p0`` for a duration ``t``; total variation error below ``eps``."""
-    from scipy import sparse
-
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     if not 0 < eps <= EPS_MAX:
@@ -195,12 +191,21 @@ def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
     if t == 0.0 or lam == 0.0:
         return ProbabilityVector(v, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space)
 
+    if not lam * t <= MAX_POISSON_MEAN:
+        raise DomainError(f"uniformization Poisson mean Lambda * t = {lam} * {t} exceeds "
+                          f"MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}")
     weights = _poisson_weights(lam * t, eps)
-    # U^T, taken once: v @ U on a CSR matrix would transpose U again at every step
-    ut = (sparse.eye(gen.dim, format="csr") + gen.matrix / lam).T
+    # U = eye + Q / lam as scipy forms it (Q * (1 / lam), zeros dropped): a step is its U.T @ v bit for bit
+    q = gen.csr
+    rows = q.rows()
+    off = rows != q.indices
+    diagonal = np.arange(gen.dim)
+    ut = _csr(np.concatenate([rows[off], diagonal]), np.concatenate([q.indices[off], diagonal]),
+              np.concatenate([q.data[off] * (1.0 / lam), 1.0 + q.diagonal() * (1.0 / lam)]),
+              gen.dim).transposed()
     acc = weights[0] * v
     for w in weights[1:]:
-        v = ut @ v
+        v = add_transposed_product(ut, v, np.zeros(gen.dim))
         acc += w * v
     return ProbabilityVector(acc, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space)
 

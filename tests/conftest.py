@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import retrialsi as rs
+from retrialsi import transient
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +73,23 @@ def splu_stationary_vector(gen):
 @pytest.fixture(scope="session")
 def splu_stationary():
     return splu_stationary_vector
+
+
+def assert_step_matches_scipy(gen, v):
+    """One step of ``uniformize`` equals scipy's ``(eye + Q / lam).T @ v`` bit for bit, signed zeros included.
+
+    Poisson weights (0, 1) make ``uniformize`` return the one step U^T v.
+    """
+    from scipy import sparse
+
+    lam = float(gen.exit_rates().max())
+    expected = (sparse.eye(gen.dim, format="csr") + gen.matrix / lam).T @ v
+    with mock.patch.object(transient, "_poisson_weights", return_value=np.array([0.0, 1.0])):
+        step = rs.uniformize(gen, rs.ProbabilityVector(v, 0.0, "uniformization"), 1.0).values
+    assert np.array_equal(step, expected)
+    assert np.array_equal(np.signbit(step), np.signbit(expected))
+
+
+@pytest.fixture(scope="session")
+def step_matches_scipy():
+    return assert_step_matches_scipy

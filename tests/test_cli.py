@@ -540,28 +540,57 @@ class TestPerStateWriters:
         assert path.read_bytes() == self.per_state_csv(("i", "j", "probability"), rows)
 
 
-#: Runs the CLI in a fresh interpreter and prints its exit code and loaded scipy modules.
+#: Runs the CLI in a fresh interpreter and prints its exit code and loaded scipy
+#: modules; with ``--block-scipy`` first, every scipy import fails.
 SCIPY_PROBE = """\
 import json, sys
+if sys.argv[1] == "--block-scipy":
+    sys.modules["scipy"] = None
+    del sys.argv[1]
 from retrialsi import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m, module in sys.modules.items()
+                               if module is not None and m.split(".")[0] == "scipy")]))
 """
+
+#: Small enough to run every subcommand by every method in a fraction of a second.
+SMALL_YAML = """\
+model: {N: 6, c: 3, alpha: 5.0, mu: 0.4, theta: 2.0}
+solver: {K: 14, replicas: 1000, seed: 1}
+times: [0.5, 1.0]
+outputs: [state_probs, marginals, moments, stationary]
+table: {N: [4, 6], c: [2, 3], times: [0.5, 1.0]}
+sweep: {thetas: [0.0, 1.0], times: [0.5, 1.0]}
+"""
+SUBCOMMANDS = ("solve", "table", "sweep", "timeseries", "stationary", "simulate", "validate-config")
+
+
+def run_probe(tmp_path, *args, config):
+    """Exit code and loaded scipy modules of one CLI run in a fresh interpreter."""
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [*args, "--config", str(config), "--out", str(tmp_path / "out"), "--no-metadata"]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_runs_without_scipy(tmp_path, command, method):
+    config = tmp_path / "small.yaml"
+    config.write_text(SMALL_YAML)
+    assert run_probe(tmp_path, "--block-scipy", command, "--method", method, config=config) == set()
 
 
 class TestScipyLoading:
-    """Each command loads only the scipy subpackages its solvers call."""
+    """No command loads a scipy module, even where scipy is installed."""
 
     @staticmethod
     def scipy_modules(tmp_path, *args, config=REPO / "bench" / "configs" / "lattice.yaml"):
-        src = str(Path(rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [*args, "--config", str(config), "--out", str(tmp_path / "out"), "--no-metadata"]
-        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        code, modules = json.loads(proc.stdout.splitlines()[-1])
-        assert code == 0, proc.stderr
-        return set(modules)
+        return run_probe(tmp_path, *args, config=config)
 
     def test_validate_config_loads_no_scipy(self, tmp_path):
         assert self.scipy_modules(tmp_path, "validate-config") == set()
@@ -580,8 +609,7 @@ class TestScipyLoading:
                                   config=mc) == set()
 
     def test_uniformization_solve_loads_no_stationary_solver(self, tmp_path):
-        loaded = self.scipy_modules(tmp_path, "solve", "--method", "uniformization")
-        assert not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph"}
+        assert self.scipy_modules(tmp_path, "solve", "--method", "uniformization") == set()
 
     def test_stationary_loads_no_scipy(self, tmp_path):
         assert self.scipy_modules(tmp_path, "stationary") == set()
@@ -592,5 +620,4 @@ class TestScipyLoading:
 
     def test_uniformization_with_stationary_output_loads_no_stationary_solver(self, tmp_path):
         wellmixed = REPO / "demos" / "configs" / "wellmixed.yaml"
-        loaded = self.scipy_modules(tmp_path, "solve", "--method", "uniformization", config=wellmixed)
-        assert "scipy.sparse" in loaded and not loaded & {"scipy.sparse.linalg", "scipy.sparse.csgraph"}
+        assert self.scipy_modules(tmp_path, "solve", "--method", "uniformization", config=wellmixed) == set()

@@ -5,13 +5,15 @@ at one leaf a value is replaced by a wrong type, a bool, NaN or +-inf, a
 negative, non-integral or huge number, or the key is dropped or joined by an
 extra one.  Huge values go only to leaves whose range the parser bounds: a
 huge N, replica count, rate or time sets the amount of work, and nothing
-bounds that yet.
+bounds that yet.  One fixed case gives uniformization a huge rate, which
+``MAX_POISSON_MEAN`` bounds.
 """
 
 import contextlib
 import io
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,18 @@ def test_exit_contract_on_generated_configs(config):
             assert code in EXIT_CODES, method
             if code == cli.EXIT_CONFIG:
                 assert validated == cli.EXIT_CONFIG, (method, config)
+
+
+def test_huge_rate_for_uniformization_exits_two_at_once(tmp_path):
+    # Lambda * t = 1e12 exceeds MAX_POISSON_MEAN; the Poisson scan once tried to allocate 7 TiB
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"model": {"N": 10, "c": 5, "alpha": 1.0e12, "mu": 0.4, "theta": 2.0},
+                                    "times": [1.0], "outputs": ["moments"]}))
+    stderr = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["solve", "--config", str(path), "--method", "uniformization",
+                         "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_CONFIG
+    assert "MAX_POISSON_MEAN" in stderr.getvalue() and "Traceback" not in stderr.getvalue()

@@ -250,6 +250,18 @@ class TestStationaryNullspace:
         pi = rs.stationary_nullspace(zero_arrival_generator(1.0))
         assert pi.values[0] == 1.0 and np.count_nonzero(pi.values) == 1
 
+    def test_second_closed_class_beside_a_segment_rejected(self):
+        # (0, 0) made absorbing is the one closed segment, but (1, 1) and (2, 1)
+        # made a closed pair never reach it: pi = delta(0, 0) would pass the residual
+        cfg, gen = make_gen(6, 3)
+        q, index = gen.toarray(), cfg.space.index
+        q[index(0, 0)] = 0.0
+        for a, b in [((1, 1), (2, 1)), ((2, 1), (1, 1))]:
+            q[index(*a)] = 0.0
+            q[index(*a), index(*b)], q[index(*a), index(*a)] = 0.4, -0.4
+        with pytest.raises(ModelError, match="reducible"):
+            rs.stationary_nullspace(GeneratorMatrix.from_dense(q, cfg.space))
+
     def test_nonconservative_rejected(self, wellmixed_generator):
         q = wellmixed_generator.toarray()
         q[7, 7] -= 0.5

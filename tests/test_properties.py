@@ -72,6 +72,17 @@ def test_generator_simulator_and_oracle_agree(model, t):
     assert np.array_equal(rs.load_graph(rs.graph_to_text(graph)).adjacency, graph.adjacency)
 
 
+@PROPERTY_SETTINGS
+@given(models(), st.integers(0, 2 ** 32 - 1))
+def test_uniformization_step_matches_scipy(step_matches_scipy, model, seed):
+    cfg, graph = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(gen.dim)  # signs and signed zeros too, not only a distribution
+    v[rng.random(gen.dim) < 0.2] = -0.0
+    step_matches_scipy(gen, v)
+
+
 def scipy_assembly(cfg, rate_fn):
     """Q and its longdouble twin as scipy assembles them: coo -> csr, minus the row sums."""
     src, dst, rate = transitions(cfg, rate_fn)

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 import retrialsi as rs
 from retrialsi import ModelConfig
 from retrialsi.errors import DomainError
-from retrialsi.transient import _transition_table
+from retrialsi.transient import MAX_POISSON_MEAN, _transition_table
 
 STENCIL_MOVES = {(1, 0), (-1, 0), (1, -1), (0, 1)}
 
@@ -48,6 +48,25 @@ class TestUniformize:
         for eps in (0.0, 1e-5):
             with pytest.raises(DomainError):
                 rs.uniformize(wellmixed_generator, wellmixed_p0, 1.0, eps)
+
+    @pytest.mark.parametrize("case", ["two_state_toy", "absorbing"])
+    def test_step_matches_scipy(self, case, two_state_toy, step_matches_scipy):
+        if case == "two_state_toy":  # no state space
+            gen = two_state_toy
+        else:  # no arrivals and theta = 0: every (0, j) is absorbing, and Q stores no diagonal there
+            cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=0.0)
+            gen = rs.build_generator(cfg, lambda i, j: 0.0)
+            assert np.count_nonzero(gen.exit_rates() == 0) == cfg.space.width
+        v = np.random.default_rng(3).standard_normal(gen.dim)
+        v[::3] = -0.0
+        step_matches_scipy(gen, v)
+
+    def test_poisson_mean_bound(self, wellmixed_generator, wellmixed_p0):
+        # rejected before the Poisson scan, which would allocate and loop over ~Lambda * t terms
+        lam = float(wellmixed_generator.exit_rates().max())
+        for t in (2 * MAX_POISSON_MEAN / lam, 1e300, math.inf):
+            with pytest.raises(DomainError, match="MAX_POISSON_MEAN"):
+                rs.uniformize(wellmixed_generator, wellmixed_p0, t)
 
     def test_timestamp_accumulates(self, wellmixed_generator, wellmixed_p0):
         mid = rs.uniformize(wellmixed_generator, wellmixed_p0, 1.5)
