@@ -265,7 +265,6 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         raise ConfigError("sweep.thetas: must be nonnegative")
 
     raw = {k: v for k, v in mapping.items()}
-    raw.setdefault("solver", {})
     raw["solver"] = {**solver_map, "method": method, "seed": solver.seed}
 
     return ScenarioConfig(
@@ -485,13 +484,8 @@ def _write_match_report(scenario, cells, out_dir, meta):
 
 
 def _write_sweep(scenario, out_dir, meta):
-    thetas = []
-    dupes = []
-    for th in scenario.sweep_thetas:
-        if th in thetas:
-            dupes.append(th)
-        else:
-            thetas.append(th)
+    thetas = list(dict.fromkeys(scenario.sweep_thetas))
+    dupes = [th for k, th in enumerate(scenario.sweep_thetas) if th in scenario.sweep_thetas[:k]]
     if dupes:
         print(f"warning: duplicate theta values deduplicated: {dupes}", file=sys.stderr)
     times = scenario.sweep_times if scenario.sweep_times is not None else scenario.grid()

@@ -2,7 +2,8 @@
 
 The moves of the chain are enumerated once, in :func:`_moves`, and
 :func:`transitions` attaches their rates; the generator, its structural check
-and the simulator's tables are all derived from that one table.  The diagonal
+(which :func:`level_rates`, the level sweep's view of Q, enforces) and the
+simulator's tables are all derived from that one table.  The diagonal
 of Q carries minus the row's total exit rate, so every row sums to 0.
 
 Q and its longdouble twin are assembled with numpy alone, as the arrays of
@@ -247,6 +248,9 @@ def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
     return GeneratorMatrix(_conservative(*transitions(cfg, rate_fn), cfg.space.size), cfg.space)
 
 
+ROW_SUM_TOL = 1e-12  # bound on |row sum| of a valid Q, relative to max(1, largest exit rate)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the structural checks on a generator matrix."""
@@ -260,11 +264,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.row_sum_violations
-            and not self.negative_off_diagonal
-            and not self.off_stencil
-        )
+        return not (self.row_sum_violations or self.negative_off_diagonal or self.off_stencil)
 
     def summary(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -278,37 +278,78 @@ class ValidationReport:
         return "; ".join(parts)
 
 
-def validate_generator(gen: GeneratorMatrix, tol: float = 1e-12) -> ValidationReport:
-    """Check zero row sums, nonnegative off-diagonal, and the transition stencil.
-
-    Reports rather than raises, so it can run on deliberately broken input.
-    The stencil check needs a state space; it is skipped (and flagged) without one.
-    """
+def _validate(gen: GeneratorMatrix):
+    """:func:`validate_generator`'s report, and the family (numbered as in :func:`_moves`) of
+    each stored entry of Q: -1 off the stencil, the diagonal included; None without a state space."""
     sums = gen.row_sums()
-    bad_rows = tuple(np.nonzero(np.abs(sums) > tol)[0].tolist())
-
+    tol = ROW_SUM_TOL * max(1.0, float(np.abs(gen.exit_rates()).max(initial=0.0)))
     rows, cols, vals = gen.triplets()
     off_diagonal = rows != cols
 
     def pairs(mask):
         return tuple(zip(rows[mask].tolist(), cols[mask].tolist()))
 
-    neg = pairs(off_diagonal & (vals < 0))
+    family = None
+    if gen.space is not None:
+        src, dst, move_family = _moves(gen.space)
+        target = np.full((4, gen.dim), -1, dtype=cols.dtype)  # [family, state]: where the move goes
+        target[move_family, src] = dst
+        family = np.full(rows.size, -1)
+        for f in range(4):
+            family[target[f, rows] == cols] = f
 
-    off_stencil: tuple[tuple[int, int], ...] = ()
-    checked = gen.space is not None
-    if checked:
-        src, dst, _ = _moves(gen.space)
-        # int64 keys: dim ** 2 overflows int32 from about 46,000 states
-        keys = rows.astype(np.int64) * gen.dim + cols
-        on_stencil = np.isin(keys, src * gen.dim + dst)
-        off_stencil = pairs(off_diagonal & (vals != 0) & ~on_stencil)
-
-    return ValidationReport(
+    report = ValidationReport(
         max_abs_row_sum=float(np.abs(sums).max()) if sums.size else 0.0,
-        row_sum_violations=bad_rows,
-        negative_off_diagonal=neg,
-        off_stencil=off_stencil,
-        stencil_checked=checked,
+        row_sum_violations=tuple(np.flatnonzero(~(np.abs(sums) <= tol)).tolist()),
+        negative_off_diagonal=pairs(off_diagonal & ~(vals >= 0)),
+        off_stencil=() if family is None else pairs(off_diagonal & (vals != 0) & (family < 0)),
+        stencil_checked=family is not None,
         tolerance=tol,
     )
+    return report, family
+
+
+def validate_generator(gen: GeneratorMatrix) -> ValidationReport:
+    """Check the rule the level sweep's routes (inversion and both stationary solves) need of Q.
+
+    Every row sums to 0 within ``tolerance`` = ROW_SUM_TOL * max(1, largest
+    exit rate), every off-diagonal rate is >= 0 (a NaN fails both), and
+    every nonzero off-diagonal entry is a move of the stencil.  Reports
+    rather than raises, so it can run on deliberately broken input.  The
+    stencil check needs a state space; it is skipped (and flagged) without one.
+    """
+    return _validate(gen)[0]
+
+
+def level_rates(gen: GeneratorMatrix):
+    """The off-diagonal rates of Q in longdouble, level-major, for the level sweep of :mod:`.laplace`.
+
+    Returns ``(arrival, recovery, retrial, orbit)``.  All but ``orbit`` have
+    shape (N - c + 1, c + 1) and are indexed [j, i] by the state (i, j) whose
+    equation the rate enters, the target of the move:
+
+    - arrival[j, i]   the rate (i-1, j) -> (i, j), 0 at i = 0;
+    - recovery[j, i]  the rate (i+1, j) -> (i, j), 0 at i = c;
+    - retrial[j, i]   the rate (i-1, j+1) -> (i, j), 0 at i = 0 and j = N - c;
+    - orbit[j]        the rate (c, j-1) -> (c, j), 0 at j = 0.
+
+    Raises ModelError without a state space, or when Q fails
+    :func:`validate_generator`: the sweep rebuilds every pivot from these
+    rates, so it can honour neither a stored diagonal nor a negative rate.
+    """
+    space = gen.space
+    if space is None:
+        raise ModelError("generator has no attached state space")
+    report, family = _validate(gen)
+    faults = ((report.off_stencil, "transitions off the lattice stencil"),
+              (report.row_sum_violations, f"rows not conservative (|row sum| > {report.tolerance:.1e})"),
+              (report.negative_off_diagonal, "negative off-diagonal rates"))
+    for found, what in faults:
+        if found:
+            raise ModelError(f"generator has {len(found)} {what}, the first at {found[0]}")
+    q, on = gen.csr, family >= 0
+    # rate of family f into state t at [f * dim + t], duplicate entries summed as in toarray()
+    by_target = np.bincount(family[on] * gen.dim + q.indices[on], q.data[on], minlength=4 * gen.dim)
+    arrival, recovery, retrial, orbit = (
+        by_target.astype(np.longdouble).reshape(4, space.c + 1, space.width).transpose(0, 2, 1))
+    return arrival, recovery, retrial, orbit[:, space.c]

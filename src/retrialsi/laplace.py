@@ -23,7 +23,9 @@ of nonnegative rates of leaving the states not yet eliminated: a row i < c
 pivots on its arrival rate plus its rate of leaving the level (a retrial
 down, or death at rate s) directly or through the rows below it; (c, j)
 pivots on s times one plus the time spent above level j, plus the rate at
-which the level's rows below c leave the level.  So the sweep stays
+which the level's rows below c leave the level.  The rates come from
+:func:`~.generator.level_rates`, which refuses a Q that fails
+:func:`~.generator.validate_generator`.  So the sweep stays
 accurate as s -> 0, and at s = 0 the pivot of (c, 0) is exactly 0: pinning
 x(c, 0) = 1 there gives the null vector of Q that :func:`stationary_nullspace`
 normalizes.  Every solution is residual-checked in longdouble against the
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError
-from .generator import GeneratorMatrix, _moves, add_transposed_product
+from .generator import GeneratorMatrix, add_transposed_product, level_rates
 from .transient import ProbabilityVector, Provenance
 
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # decreasing shifts of stationary_fvt
@@ -51,46 +53,6 @@ RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of every resolvent so
 #: each at the bound).  2**18 is the smallest power of two that holds N = 200
 #: at one time point (10,201 states x 20 shifts) in one chunk.
 SWEEP_ENTRIES = 2 ** 18
-
-
-def _level_rates(gen: GeneratorMatrix):
-    """The off-diagonal rates of :attr:`~GeneratorMatrix.matrix_extended`, level-major.
-
-    Returns ``(arrival, recovery, retrial, orbit)``.  All but ``orbit`` have
-    shape (N - c + 1, c + 1) and are indexed [j, i] by the state (i, j) whose
-    equation the rate enters:
-
-    - arrival[j, i]   the rate (i-1, j) -> (i, j), 0 at i = 0;
-    - recovery[j, i]  the rate (i+1, j) -> (i, j), 0 at i = c;
-    - retrial[j, i]   the rate (i-1, j+1) -> (i, j), 0 at i = 0 and j = N - c;
-    - orbit[j]        the rate (c, j-1) -> (c, j), 0 at j = 0.
-    """
-    space = gen.space
-    if space is None:
-        raise ModelError("generator has no attached state space")
-    q = gen.matrix_extended
-    src, dst, family = _moves(space)
-    # entry (src, dst) of Q, found among the stored entries by its row-major key
-    keys = q.rows().astype(np.int64) * gen.dim + q.indices
-    wanted = src.astype(np.int64) * gen.dim + dst
-    at = np.searchsorted(keys, wanted)
-    stored = at < keys.size
-    stored[stored] = keys[at[stored]] == wanted[stored]
-    rate = np.zeros(src.size, dtype=np.longdouble)
-    rate[stored] = q.data[at[stored]]
-    if np.count_nonzero(rate) != np.count_nonzero(q.data) - np.count_nonzero(q.diagonal()):
-        raise ModelError("generator has transitions off the lattice stencil")
-    c, width = space.c, space.width
-    by_source = np.zeros((4, c + 1, width), dtype=np.longdouble)  # [family, i, j] of the source
-    i, j = np.divmod(src, width)
-    by_source[family, i, j] = rate
-    arrival, recovery, retrial = (np.zeros((width, c + 1), dtype=np.longdouble) for _ in range(3))
-    arrival[:, 1:] = by_source[0, :-1].T
-    recovery[:, :-1] = by_source[1, 1:].T
-    retrial[:-1, 1:] = by_source[2, :-1, 1:].T
-    orbit = np.zeros(width, dtype=np.longdouble)
-    orbit[1:] = by_source[3, c, :-1]
-    return arrival, recovery, retrial, orbit
 
 
 @np.errstate(all="ignore")  # a zero or overflowing pivot shows in the residual check
@@ -174,7 +136,8 @@ def _checked(qt, s: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     """Solve x(s) (s I - Q) = rhs for every shift s, by the level sweep.
 
-    ``gen`` needs its state space; ``shifts`` is a 1-d array, best given in
+    ``gen`` needs its state space and must pass :func:`~.generator.validate_generator`,
+    else ModelError; ``shifts`` is a 1-d array, best given in
     longdouble, of positive shifts.  Returns an iterator over chunks
     ``(columns, x)``: ``columns`` is a slice of ``shifts`` and row k of the
     longdouble array ``x`` solves for the shift ``shifts[columns][k]``.  A
@@ -189,7 +152,7 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     b = np.asarray(rhs, dtype=np.longdouble)
     if b.shape != (gen.dim,):
         raise DomainError(f"right-hand side has shape {b.shape}, system dimension is {gen.dim}")
-    rates, qt = _level_rates(gen), gen.matrix_extended.transposed()
+    rates, qt = level_rates(gen), gen.matrix_extended.transposed()
     width = max(1, SWEEP_ENTRIES // gen.dim)
     chunks = (slice(k, k + width) for k in range(0, shifts.size, width))
     return ((cols, _checked(qt, shifts[cols], b, _sweep(rates, shifts[cols], b)).T) for cols in chunks)
@@ -198,7 +161,8 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
 def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
     """Stationary vector: the normalized left null vector of Q, by the level sweep at s = 0.
 
-    Q must be conservative and on a lattice.  A closed segment is a level's
+    Q must pass :func:`~.generator.validate_generator`, else ModelError.
+    A closed segment is a level's
     states 0..m, where m is the first with no move up (to i + 1, or from
     i = c to the level above) and none of 0..m retries down.  The closed
     classes of every :func:`build_generator` chain follow from them.  As
@@ -218,10 +182,7 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
     segment, as a state that never reaches it, which raises ModelError, and
     without one as an exactly zero pivot, which the residual check reports.
     """
-    scale = max(1.0, float(np.abs(gen.exit_rates()).max(initial=0.0)))
-    if np.abs(gen.row_sums()).max(initial=0.0) > 1e-12 * scale:
-        raise ModelError("generator is not conservative: row sums are not zero")
-    rates = _level_rates(gen)
+    rates = level_rates(gen)
     arrival, recovery, retrial, orbit = rates
     up, down = np.zeros_like(arrival), np.zeros_like(arrival)  # rates out of [j, i]
     up[:, :-1], up[:-1, -1] = arrival[:, 1:], orbit[1:]

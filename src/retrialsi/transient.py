@@ -186,6 +186,8 @@ def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
     if not 0 < eps <= EPS_MAX:
         raise DomainError(f"eps must lie in (0, {EPS_MAX:g}], got {eps}")
     v = np.array(p0.values, dtype=float)
+    if v.shape != (gen.dim,):
+        raise DomainError(f"p0 has shape {v.shape}, system dimension is {gen.dim}")
     out_t = p0.t + t
     lam = float(gen.exit_rates().max())
     if t == 0.0 or lam == 0.0:

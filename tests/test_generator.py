@@ -67,6 +67,19 @@ class TestValidateGenerator:
         assert report.max_abs_row_sum <= 1e-12
         assert report.stencil_checked
 
+    @pytest.mark.parametrize("alpha", [1e5, 1e7])
+    def test_high_rate_chain_passes_and_solves(self, alpha):
+        # an absolute row-sum bound of 1e-12 failed 287 and 336 rows here
+        # (max |row sum| 5.8e-12 and 7.5e-10); the bound scales with the exit rate
+        cfg = ModelConfig(N=40, c=20, alpha=alpha, mu=0.4, theta=2.0)
+        gen = rs.build_generator(cfg, rs.rate_function(cfg))
+        report = rs.validate_generator(gen)
+        assert report.ok, report.summary()
+        p0 = rs.delta_vector(cfg.space, cfg.initial_state)
+        rs.transient_via_ilt(gen, p0, [0.5, 2.0])
+        rs.stationary_fvt(gen, p0)
+        rs.stationary_nullspace(gen)
+
     def test_at_most_four_off_diagonal_per_row(self, wellmixed_generator):
         q = wellmixed_generator.matrix
         for row in range(q.shape[0]):

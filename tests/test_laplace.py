@@ -37,7 +37,7 @@ def solve(gen, shifts, rhs):
 
 def resolvent_from_rates(gen, s):
     """M(s) in longdouble, its off-diagonal rebuilt from the level sweep's rates alone."""
-    arrival, recovery, retrial, orbit = laplace._level_rates(gen)
+    arrival, recovery, retrial, orbit = rs.generator.level_rates(gen)
     w, c = gen.space.width, gen.space.c
     j, i = np.indices(arrival.shape)
     state = i * w + j  # [j, i]: the state whose equation the rate enters
@@ -187,6 +187,18 @@ class TestLevelSweep:
         for cols, x in chunks:
             assert np.abs(x - whole[cols]).max() <= 1e-15 * np.abs(whole).max()
 
+    def test_storage_order_and_split_entries(self, wellmixed_generator, wellmixed_p0):
+        # each row stored in descending column order, every entry as two halves: the same Q
+        q = wellmixed_generator.csr
+        order = np.lexsort((-q.indices, q.rows()))
+        gen = GeneratorMatrix((np.repeat(q.data[order] / 2, 2), np.repeat(q.indices[order], 2),
+                               2 * q.indptr), wellmixed_generator.space)
+        assert rs.validate_generator(gen).ok
+        shifts = np.array([0.5, 2.0], dtype=np.longdouble)
+        ((_, x),) = solve_resolvents(gen, shifts, wellmixed_p0.values)
+        ((_, canonical),) = solve_resolvents(wellmixed_generator, shifts, wellmixed_p0.values)
+        assert np.array_equal(x, canonical)
+
     def test_invalid_input_rejected(self, wellmixed_generator, wellmixed_p0):
         v = wellmixed_p0.values
         for shifts in ([1.0, 0.0], [-1.0], [[1.0]]):
@@ -262,6 +274,17 @@ class TestStationaryNullspace:
         with pytest.raises(ModelError, match="reducible"):
             rs.stationary_nullspace(GeneratorMatrix.from_dense(q, cfg.space))
 
+    def test_negative_rate_rejected(self):
+        # the retrial (0, 2) -> (1, 1) negated and its row rebalanced: the
+        # sweep's pi had a least entry of -0.0036 and passed the residual check
+        cfg, gen = make_gen(6, 3)
+        q, index = gen.toarray(), cfg.space.index
+        a, b = index(0, 2), index(1, 1)
+        q[a, a] += 2 * q[a, b]
+        q[a, b] = -q[a, b]
+        with pytest.raises(ModelError, match="negative"):
+            rs.stationary_nullspace(GeneratorMatrix.from_dense(q, cfg.space))
+
     def test_nonconservative_rejected(self, wellmixed_generator):
         q = wellmixed_generator.toarray()
         q[7, 7] -= 0.5
@@ -292,8 +315,21 @@ class TestSweepNearZero:
         cfg, gen = make_gen(200, 100)
         pi = rs.stationary_nullspace(gen).values
         p0 = rs.delta_vector(cfg.space, cfg.initial_state).values.astype(np.longdouble)
-        x = laplace._sweep(laplace._level_rates(gen), np.array([s], dtype=np.longdouble), p0)
+        x = laplace._sweep(rs.generator.level_rates(gen), np.array([s], dtype=np.longdouble), p0)
         assert np.abs(s * x[:, 0] - pi).max() <= 1e-11
+
+
+class TestKillingRateRefused:
+    def test_lowered_diagonal(self, wellmixed_generator, wellmixed_p0):
+        # every exit rate raised by a killing rate of 0.5: uniformization honours
+        # it (mass 0.368 at t = 2), but the sweep rebuilds the diagonal from the
+        # off-diagonal rates and returned the conservative chain's law
+        q = wellmixed_generator.toarray() - 0.5 * np.eye(wellmixed_generator.dim)
+        gen = GeneratorMatrix.from_dense(q, wellmixed_generator.space)
+        with pytest.raises(ModelError, match="not conservative"):
+            rs.transient_via_ilt(gen, wellmixed_p0, [2.0])
+        with pytest.raises(ModelError, match="not conservative"):
+            rs.stationary_fvt(gen, wellmixed_p0)
 
 
 class TestStationaryFvt:

@@ -9,7 +9,9 @@ from scipy.sparse import coo_matrix, csr_matrix, diags  # noqa: E402
 from scipy.sparse.csgraph import connected_components  # noqa: E402
 
 import retrialsi as rs  # noqa: E402
+from retrialsi.errors import ModelError  # noqa: E402
 from retrialsi.generator import transitions  # noqa: E402
+from retrialsi.laplace import solve_resolvents  # noqa: E402
 from retrialsi.transient import _transition_table  # noqa: E402
 
 RATES = st.floats(0.05, 10.0)
@@ -184,3 +186,29 @@ def test_stationary_matches_sparse_lu(model, splu_stationary):
             rs.stationary_nullspace(gen)
         return
     assert np.abs(rs.stationary_nullspace(gen).values - expected).max() <= 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.sampled_from(["none", "negate", "shift", "off_stencil"]), st.data())
+def test_sweep_refuses_exactly_what_validation_fails(model, perturbation, data):
+    cfg, graph = model
+    q = rs.build_generator(cfg, rs.rate_function(cfg, graph)).toarray()
+    off = ~np.eye(len(q), dtype=bool)
+    if perturbation == "negate":  # one off-diagonal rate
+        r, k = data.draw(st.sampled_from(list(zip(*np.nonzero(off & (q != 0))))))
+        q[r, k] = -q[r, k]
+    elif perturbation == "shift":  # one diagonal entry, by as little as nothing
+        r = data.draw(st.integers(0, len(q) - 1))
+        q[r, r] += data.draw(st.floats(-1.0, 1.0))
+    elif perturbation == "off_stencil":  # one entry where Q stores none, balanced on its row
+        r, k = data.draw(st.sampled_from(list(zip(*np.nonzero(off & (q == 0))))))
+        rate = data.draw(RATES)
+        q[r, k] += rate
+        q[r, r] -= rate
+    gen = rs.GeneratorMatrix.from_dense(q, cfg.space)
+    p0 = rs.delta_vector(cfg.space, cfg.initial_state).values
+    if rs.validate_generator(gen).ok:
+        list(solve_resolvents(gen, [1.0], p0))
+    else:
+        with pytest.raises(ModelError):
+            solve_resolvents(gen, [1.0], p0)

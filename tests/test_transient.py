@@ -93,6 +93,15 @@ class TestTransientGrid:
         with pytest.raises(DomainError):
             rs.transient_grid(wellmixed_generator, wellmixed_p0, [-1.0, 1.0])
 
+    @pytest.mark.parametrize("n", [10, 66, 100])
+    def test_p0_of_another_dimension_rejected(self, wellmixed_generator, n):
+        # the 36-state chain: 10 entries died with IndexError, 66 and 100 with a broadcast ValueError
+        p0 = rs.ProbabilityVector(np.full(n, 1.0 / n), 0.0, "uniformization")
+        with pytest.raises(DomainError, match="dimension is 36"):
+            rs.uniformize(wellmixed_generator, p0, 1.0)
+        with pytest.raises(DomainError, match="dimension is 36"):
+            rs.transient_grid(wellmixed_generator, p0, [0.5, 1.0])
+
     def test_metadata_and_lookup(self, wellmixed_generator, wellmixed_p0):
         sol = rs.transient_grid(wellmixed_generator, wellmixed_p0, [1.0, 2.0])
         assert sol.metadata["method"] == "uniformization"
