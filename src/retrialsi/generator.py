@@ -8,7 +8,10 @@ of Q carries minus the row's total exit rate, so every row sums to 0.
 
 Q and its longdouble twin are assembled with numpy alone, as the arrays of
 compressed sparse rows (:class:`CsrArrays`); only :attr:`GeneratorMatrix.matrix`,
-a reference view for tests, imports scipy.
+a reference view for tests, imports scipy.  Products with a transpose run
+along the matrix's diagonals (:meth:`CsrArrays.diagonals`, at most five on the
+lattice stencil, and :func:`transposed_product`): one contiguous multiply-add
+per offset, adding each target's terms in scipy's order.
 """
 
 from __future__ import annotations
@@ -60,28 +63,37 @@ class CsrArrays(NamedTuple):
         sums[stored] = np.add.reduceat(self.data, self.indptr[stored])
         return sums
 
-    def transposed(self):
-        """The transpose as slot-major padded rows ``(source, weight)``, each (slots, dim).
+    def diagonals(self):
+        """The transpose by diagonals: ``(d, lo, weight)`` per distinct offset d = col - row, d descending.
 
-        (A^T x)[k] = sum_m weight[m, k] x[source[m, k]], sources ascending; padding weighs 0.
+        weight[k], from source lo + k - d into target lo + k, spans the targets d reaches (0 between
+        entries, duplicates summed), so a target meets its sources in ascending order, as in scipy.
         """
-        order = np.argsort(self.indices, kind="stable")
-        cols = self.indices[order]
-        slot = np.arange(cols.size) - np.searchsorted(cols, cols)  # rank within the column
-        source = np.zeros((slot.max(initial=-1) + 1, self.dim), dtype=np.intp)
-        weight = np.zeros(source.shape, dtype=self.data.dtype)
-        source[slot, cols] = self.rows()[order]
-        weight[slot, cols] = self.data[order]
-        return source, weight
+        offset = self.indices.astype(np.intp) - self.rows()
+        order = np.lexsort((self.indices, -offset))  # by offset descending, then by target
+        offset, targets, data = offset[order], self.indices[order], self.data[order]
+        starts = np.flatnonzero(np.diff(offset, prepend=offset[:1] + 1))  # where each offset begins
+        diagonals = []
+        for a, b in zip(starts, np.append(starts[1:], offset.size)):
+            weight = np.zeros(targets[b - 1] + 1 - targets[a], dtype=data.dtype)
+            np.add.at(weight, targets[a:b] - targets[a], data[a:b])
+            diagonals.append((int(offset[a]), int(targets[a]), weight))
+        return diagonals
 
 
-def add_transposed_product(at, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out += A^T x`` for ``at = A.transposed()``, one slot at a time as scipy's CSC product adds."""
-    for source, weight in zip(*at):
-        term = x[source]
-        term *= weight if x.ndim == 1 else weight[:, None]
-        out += term
-    return out
+def transposed_product(diagonals, x: np.ndarray, out: np.ndarray, term=None):
+    """A function of no arguments that adds A^T x (x 1-d or (dim, k)) into and returns ``out``, for
+    ``diagonals = A.diagonals()``, through ``term`` of out's shape; the slices are taken once, here."""
+    term = np.empty_like(out) if term is None else term
+    views = [(w if x.ndim == 1 else w[:, None], x[lo - d:lo - d + w.size], out[lo:lo + w.size],
+              term[:w.size]) for d, lo, w in diagonals]
+
+    def add():
+        for weight, source, target, part in views:
+            np.multiply(weight, source, out=part)
+            target += part
+        return out
+    return add
 
 
 def _csr(rows, cols, values, size: int) -> CsrArrays:
@@ -249,6 +261,7 @@ def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
 
 
 ROW_SUM_TOL = 1e-12  # bound on |row sum| of a valid Q, relative to max(1, largest exit rate)
+SUMMARY_SHOWN = 5  # offenders of each kind ValidationReport.summary names
 
 
 @dataclass(frozen=True)
@@ -269,12 +282,13 @@ class ValidationReport:
     def summary(self) -> str:
         status = "pass" if self.ok else "FAIL"
         parts = [f"{status}: max |row sum| = {self.max_abs_row_sum:.3e}"]
-        if self.row_sum_violations:
-            parts.append(f"row sums off in rows {list(self.row_sum_violations)}")
-        if self.negative_off_diagonal:
-            parts.append(f"negative off-diagonal at {list(self.negative_off_diagonal)}")
-        if self.off_stencil:
-            parts.append(f"off-stencil transition at {list(self.off_stencil)}")
+        kinds = ((self.row_sum_violations, "row sums off, in rows"),
+                 (self.negative_off_diagonal, "negative off-diagonal rates, at"),
+                 (self.off_stencil, "off-stencil transitions, at"))
+        for found, what in kinds:  # the count and the first SUMMARY_SHOWN of each kind
+            if found:
+                more = f" ... and {len(found) - SUMMARY_SHOWN} more" if len(found) > SUMMARY_SHOWN else ""
+                parts.append(f"{len(found)} {what} {list(found[:SUMMARY_SHOWN])}{more}")
         return "; ".join(parts)
 
 

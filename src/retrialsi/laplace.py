@@ -29,8 +29,8 @@ which the level's rows below c leave the level.  The rates come from
 accurate as s -> 0, and at s = 0 the pivot of (c, 0) is exactly 0: pinning
 x(c, 0) = 1 there gives the null vector of Q that :func:`stationary_nullspace`
 normalizes.  Every solution is residual-checked in longdouble against the
-entries of :attr:`~GeneratorMatrix.matrix_extended`, gathered along the rows
-of Q^T: near s = 0 the solution has size 1/s, and a double-precision
+entries of :attr:`~GeneratorMatrix.matrix_extended`, multiplied along its
+diagonals: near s = 0 the solution has size 1/s, and a double-precision
 residual there is one rounding step, not a measurement.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError
-from .generator import GeneratorMatrix, add_transposed_product, level_rates
+from .generator import GeneratorMatrix, level_rates, transposed_product
 from .transient import ProbabilityVector, Provenance
 
 DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # decreasing shifts of stationary_fvt
@@ -121,10 +121,10 @@ def _sweep(rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _checked(qt, s: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``x`` if every column x[:, k] has max |s x - Q^T x - b| <= RESIDUAL_TOL, else NumericalError.
 
-    ``qt`` is the transpose of :attr:`~GeneratorMatrix.matrix_extended`, so
-    the residual reads Q's own entries; a NaN fails the check.
+    ``qt`` is :attr:`~GeneratorMatrix.matrix_extended` by diagonals, so the
+    residual reads Q's own entries; a NaN fails the check.
     """
-    r = add_transposed_product(qt, x, np.repeat(b[:, None], s.size, axis=1))  # Q^T x + b
+    r = transposed_product(qt, x, np.repeat(b[:, None], s.size, axis=1))()  # Q^T x + b
     residual = np.abs(np.subtract(x * s, r, out=r), out=r).max(axis=0)
     worst = int(np.argmax(residual))  # the first NaN, if any
     if not residual[worst] <= RESIDUAL_TOL:
@@ -152,7 +152,7 @@ def solve_resolvents(gen: GeneratorMatrix, shifts, rhs):
     b = np.asarray(rhs, dtype=np.longdouble)
     if b.shape != (gen.dim,):
         raise DomainError(f"right-hand side has shape {b.shape}, system dimension is {gen.dim}")
-    rates, qt = level_rates(gen), gen.matrix_extended.transposed()
+    rates, qt = level_rates(gen), gen.matrix_extended.diagonals()
     width = max(1, SWEEP_ENTRIES // gen.dim)
     chunks = (slice(k, k + width) for k in range(0, shifts.size, width))
     return ((cols, _checked(qt, shifts[cols], b, _sweep(rates, shifts[cols], b)).T) for cols in chunks)
@@ -192,7 +192,7 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
     if closed.size > 1:
         raise ModelError(f"chain is reducible: {closed.size} closed classes")
     zero, b = np.zeros(1, dtype=np.longdouble), np.zeros(gen.dim, dtype=np.longdouble)
-    qt = gen.matrix_extended.transposed()
+    qt = gen.matrix_extended.diagonals()
     with np.errstate(all="ignore"):  # a zero pivot shows in the residual check
         if closed.size:
             j = closed[0]
@@ -201,7 +201,8 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
             reached, new = np.zeros(gen.dim, dtype=bool), segment
             while new.size:  # add the states with a positive rate into a reached one
                 reached[new] = True
-                into = qt[0][:, new][qt[1][:, new] > 0]
+                into = np.concatenate([t[w[t - lo] > 0] - d for d, lo, w in qt  # the sources t - d of
+                                       for t in [new[(lo <= new) & (new < lo + w.size)]]])  # new targets t
                 new = np.unique(into[~reached[into]])
             if not reached.all():
                 raise ModelError(f"chain is reducible: {np.count_nonzero(~reached)} states "

@@ -9,6 +9,7 @@ No route loads scipy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .generator import GeneratorMatrix, _csr, add_transposed_product, transitions
+from .generator import GeneratorMatrix, transitions, transposed_product
 from .model import ModelConfig, RateFunction, State, StateSpace
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
@@ -197,18 +198,16 @@ def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
         raise DomainError(f"uniformization Poisson mean Lambda * t = {lam} * {t} exceeds "
                           f"MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}")
     weights = _poisson_weights(lam * t, eps)
-    # U = eye + Q / lam as scipy forms it (Q * (1 / lam), zeros dropped): a step is its U.T @ v bit for bit
-    q = gen.csr
-    rows = q.rows()
-    off = rows != q.indices
-    diagonal = np.arange(gen.dim)
-    ut = _csr(np.concatenate([rows[off], diagonal]), np.concatenate([q.indices[off], diagonal]),
-              np.concatenate([q.data[off] * (1.0 / lam), 1.0 + q.diagonal() * (1.0 / lam)]),
-              gen.dim).transposed()
-    acc = weights[0] * v
-    for w in weights[1:]:
-        v = add_transposed_product(ut, v, np.zeros(gen.dim))
-        acc += w * v
+    # U = eye + Q / lam as scipy forms it, Q * (1 / lam) plus 1 on the diagonal: a step is its U.T @ v bit
+    # for bit, as the zeros scipy drops weigh 0 here, and adding 0 * v never changes a sum begun at +0
+    q, scale = gen.csr, 1.0 / lam
+    ut = sorted([(d, lo, w * scale) for d, lo, w in q.diagonals() if d] + [(0, 0, 1.0 + q.diagonal() * scale)],
+                key=lambda diagonal: -diagonal[0])
+    acc, after, term = weights[0] * v, np.empty_like(v), np.empty_like(v)
+    steps = ((transposed_product(ut, v, after, term), after), (transposed_product(ut, after, v, term), v))
+    for w, (step, stepped) in zip(weights[1:], itertools.cycle(steps)):  # into after, v, after, ...
+        stepped.fill(0.0)
+        acc += np.multiply(w, step(), out=term)
     return ProbabilityVector(acc, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space)
 
 
@@ -216,9 +215,14 @@ def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
                    eps: float = 1e-10) -> TransientSolution:
     """Evaluate the distribution on a time grid, propagating step by step.
 
-    Cost scales with the largest time, not with grid size times horizon.
+    Cost scales with the largest time, not with grid size times horizon: the steps of all
+    intervals together number about Lambda * t_max, bounded by MAX_POISSON_MEAN up front.
     """
     grid = time_grid(times)
+    lam = float(gen.exit_rates().max(initial=0.0))
+    if lam * grid[-1] > MAX_POISSON_MEAN:
+        raise DomainError(f"uniformization Poisson mean over the grid Lambda * t_max = {lam} * "
+                          f"{grid[-1]} exceeds MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}")
 
     vectors = []
     current = p0

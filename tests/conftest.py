@@ -5,6 +5,7 @@ import pytest
 
 import retrialsi as rs
 from retrialsi import transient
+from retrialsi.generator import transposed_product
 
 
 @pytest.fixture(scope="session")
@@ -93,3 +94,31 @@ def assert_step_matches_scipy(gen, v):
 @pytest.fixture(scope="session")
 def step_matches_scipy():
     return assert_step_matches_scipy
+
+
+def assert_product_matches_scipy(arrays, seed=0):
+    """``transposed_product`` over ``arrays.diagonals()`` equals scipy's CSC product bit for bit.
+
+    Both start from out = 0.  The inputs are a 1-d vector with signed zeros
+    and a (dim, 3) longdouble block whose entries carry more than double precision.
+    """
+    from scipy.sparse import csr_matrix
+
+    dim = arrays.dim
+    at = csr_matrix(arrays, shape=(dim, dim)).T  # CSC
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
+    v[rng.random(dim) < 0.2] = -0.0
+    block = rng.standard_normal((dim, 3)).astype(np.longdouble) / 3
+    diagonals = arrays.diagonals()
+    for x in (v, block):
+        expected = at @ x
+        got = transposed_product(diagonals, x, np.zeros(expected.shape, dtype=expected.dtype))()
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.fixture(scope="session")
+def product_matches_scipy():
+    return assert_product_matches_scipy

@@ -5,8 +5,8 @@ at one leaf a value is replaced by a wrong type, a bool, NaN or +-inf, a
 negative, non-integral or huge number, or the key is dropped or joined by an
 extra one.  Huge values go only to leaves whose range the parser bounds: a
 huge N, replica count, rate or time sets the amount of work, and nothing
-bounds that yet.  One fixed case gives uniformization a huge rate, which
-``MAX_POISSON_MEAN`` bounds.
+bounds that yet.  Two fixed cases give uniformization a huge rate and a
+long grid of short intervals, which ``MAX_POISSON_MEAN`` bounds.
 """
 
 import contextlib
@@ -123,6 +123,22 @@ def test_huge_rate_for_uniformization_exits_two_at_once(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"model": {"N": 10, "c": 5, "alpha": 1.0e12, "mu": 0.4, "theta": 2.0},
                                     "times": [1.0], "outputs": ["moments"]}))
+    stderr = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["solve", "--config", str(path), "--method", "uniformization",
+                         "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_CONFIG
+    assert "MAX_POISSON_MEAN" in stderr.getvalue() and "Traceback" not in stderr.getvalue()
+
+
+def test_grid_wide_poisson_mean_exits_two_at_once(tmp_path):
+    # each of the 20 intervals is within MAX_POISSON_MEAN (Lambda * 2e4 = 2.5e5), the grid's 4.75e6 steps are not
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"model": {"N": 10, "c": 5, "alpha": 5.0, "mu": 0.4, "theta": 2.0},
+                                    "times": {"start": 1.0, "stop": 4.0e5, "step": 2.0e4},
+                                    "outputs": ["moments"]}))
     stderr = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

@@ -95,6 +95,16 @@ class TestValidateGenerator:
         assert report.max_abs_row_sum == pytest.approx(0.1)
         assert "FAIL" in report.summary()
 
+    def test_summary_names_the_first_offenders_and_the_count(self):
+        # every diagonal entry lowered by 0.5: the summary once named all 441 rows in 2,149 characters
+        cfg = ModelConfig(N=40, c=20, alpha=5.0, mu=0.4, theta=2.0)
+        q = rs.build_generator(cfg, rs.rate_function(cfg)).csr
+        report = rs.validate_generator(
+            GeneratorMatrix((q.data - 0.5 * (q.rows() == q.indices), q.indices, q.indptr), cfg.space))
+        assert len(report.row_sum_violations) == 441
+        summary = report.summary()
+        assert len(summary) < 300 and "441" in summary and "and 436 more" in summary
+
     def test_negative_off_diagonal_reported(self):
         bad = GeneratorMatrix.from_dense([[1.0, -1.0], [1.0, -1.0]])
         report = rs.validate_generator(bad)
@@ -114,6 +124,54 @@ class TestValidateGenerator:
         report = rs.validate_generator(two_state_toy)
         assert report.ok
         assert not report.stencil_checked
+
+
+class TestDiagonals:
+    def test_lattice_offsets_and_spans(self):
+        # the orbit move (c, j) -> (c, j + 1) reaches only the last row's N - c targets
+        cfg = ModelConfig(N=40, c=20, alpha=5.0, mu=0.4, theta=2.0)
+        diagonals = rs.build_generator(cfg, rs.rate_function(cfg)).csr.diagonals()
+        width, size = cfg.space.width, cfg.space.size
+        assert [(d, lo, w.size) for d, lo, w in diagonals] == [
+            (width, width, size - width), (width - 1, width, size - width - 1),
+            (1, 20 * width + 1, width - 1), (0, 0, size), (-width, 0, size - width)]
+
+    def test_hub(self, product_matches_scipy):
+        # every state jumps to state 0: one offset per state, and state 0 meets them all
+        dense = np.zeros((30, 30))
+        dense[1:, 0] = np.linspace(0.5, 3.0, 29)
+        dense[np.diag_indices(30)] = -dense.sum(axis=1)
+        gen = GeneratorMatrix.from_dense(dense)
+        assert [d for d, _, _ in gen.csr.diagonals()] == list(range(0, -30, -1))
+        product_matches_scipy(gen.csr, 1)
+
+    def test_off_stencil_entry(self, wellmixed_generator, wellmixed_config, product_matches_scipy):
+        space = wellmixed_config.space
+        dense = wellmixed_generator.toarray()
+        src, dst = space.index(0, 3), space.index(4, 1)
+        dense[src, dst] += 0.5
+        dense[src, src] -= 0.5
+        gen = GeneratorMatrix.from_dense(dense, space)
+        assert len(gen.csr.diagonals()) == 6
+        for arrays in (gen.csr, gen.matrix_extended):
+            product_matches_scipy(arrays, 2)
+
+    def test_two_state_toy(self, two_state_toy, product_matches_scipy):
+        assert [(d, lo, w.tolist()) for d, lo, w in two_state_toy.csr.diagonals()] == [
+            (1, 1, [1.0]), (0, 0, [-1.0, -1.0]), (-1, 0, [1.0])]
+        product_matches_scipy(two_state_toy.csr, 3)
+
+    def test_absorbing_chain_without_diagonal(self, product_matches_scipy):
+        # no arrivals and theta = 0: every (0, j) is absorbing, and Q stores no diagonal there
+        cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=0.0)
+        gen = rs.build_generator(cfg, lambda i, j: 0.0)
+        d, lo, weight = next(diagonal for diagonal in gen.csr.diagonals() if diagonal[0] == 0)
+        assert lo == cfg.space.width and np.all(weight < 0)
+        for arrays in (gen.csr, gen.matrix_extended):
+            product_matches_scipy(arrays, 4)
+
+    def test_empty(self):
+        assert GeneratorMatrix.from_dense(np.zeros((3, 3))).csr.diagonals() == []
 
 
 class TestIrreducibility:

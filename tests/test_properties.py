@@ -85,6 +85,17 @@ def test_uniformization_step_matches_scipy(step_matches_scipy, model, seed):
     step_matches_scipy(gen, v)
 
 
+@PROPERTY_SETTINGS
+@given(models(), st.integers(0, 2 ** 32 - 1))
+def test_diagonal_product_matches_scipy(product_matches_scipy, model, seed):
+    # the lattice stencil has five offsets at most: +-(N - c + 1), N - c, 1 and the diagonal
+    cfg, graph = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    for arrays in (gen.csr, gen.matrix_extended):
+        assert len(arrays.diagonals()) <= 5
+        product_matches_scipy(arrays, seed)
+
+
 def scipy_assembly(cfg, rate_fn):
     """Q and its longdouble twin as scipy assembles them: coo -> csr, minus the row sums."""
     src, dst, rate = transitions(cfg, rate_fn)

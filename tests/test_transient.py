@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestUniformize:
         for t in (2 * MAX_POISSON_MEAN / lam, 1e300, math.inf):
             with pytest.raises(DomainError, match="MAX_POISSON_MEAN"):
                 rs.uniformize(wellmixed_generator, wellmixed_p0, t)
+
+    def test_grid_poisson_mean_bound(self, wellmixed_generator, wellmixed_p0):
+        # each of the 20 intervals passes uniformize's own bound, the grid's 4.75e6 steps do not
+        lam = float(wellmixed_generator.exit_rates().max())
+        grid = 1.0 + 2e4 * np.arange(20)
+        assert lam * np.diff(grid).max() <= MAX_POISSON_MEAN < lam * grid[-1]
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"Lambda \* t_max = 12\.5 \* 380001\.0 exceeds MAX_POISSON_MEAN = 1e\+06"):
+            rs.transient_grid(wellmixed_generator, wellmixed_p0, grid)
+        assert time.perf_counter() - start < 1.0
 
     def test_timestamp_accumulates(self, wellmixed_generator, wellmixed_p0):
         mid = rs.uniformize(wellmixed_generator, wellmixed_p0, 1.5)
