@@ -32,6 +32,7 @@ from .inversion import DEFAULT_CHAIN_ORDER, K_MAX, K_MIN, transient_via_ilt
 from .laplace import stationary_fvt, stationary_nullspace
 from .measures import marginal_orbit, marginal_recovering, moment_orbit, moment_recovering
 from .model import (
+    MAX_GRAPH_NODES,
     ContactGraph,
     Mode,
     ModelConfig,
@@ -64,6 +65,10 @@ DEFAULT_TABLE_C = (5, 10, 15, 20)
 DEFAULT_TABLE_TIMES = (0.5, 2.0, 5.0, 10.0, 20.0)
 DEFAULT_SWEEP_THETAS = (0.0, 1.0, 5.0)
 MAX_RANGE_POINTS = 1_000_000  # most times a {start, stop, step} range may expand to
+# most states (c + 1)(N - c + 1) of a model; 251,001 states (N = 1000, c = 500) peak at 172 MB RSS and
+# take 36 s of inversion per time point
+MAX_STATES = 300_000
+MAX_REPLICAS = 4_000_000  # most Monte Carlo replicas; 4e6 peak at 436 MB RSS
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,12 @@ def _parse_times(value, label):
         return time_grid(value)
 
 
+def _check_states(label, n, c):
+    states = (c + 1) * (n - c + 1)
+    if states > MAX_STATES:
+        raise ConfigError(f"{label}: N = {n}, c = {c} give {states} states, more than MAX_STATES = {MAX_STATES}")
+
+
 def load_scenario(path, method_override=None, seed_override=None) -> ScenarioConfig:
     """Parse and validate a YAML scenario document."""
     path = Path(path)
@@ -208,6 +219,8 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
             initial_state=initial_state,
         )
 
+    _check_states("model", model.N, model.c)
+
     graph = None
     graph_path = mapping.get("graph_path")
     if model.mode is Mode.HETEROGENEOUS:
@@ -216,7 +229,7 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         with _malformed("graph_path"):
             resolved = Path(base_dir) / graph_path
         try:
-            graph = load_graph(resolved.read_text(encoding="utf-8"))
+            graph = load_graph(resolved.read_text(encoding="utf-8"), nodes=model.N)
         except OSError as exc:
             raise ConfigError(f"graph_path: cannot read {resolved}: {exc}") from exc
 
@@ -237,8 +250,9 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         raise ConfigError(f"solver.K: must be even and in [{K_MIN}, {K_MAX}], got {solver.order}")
     if not 0 < solver.eps <= EPS_MAX:
         raise ConfigError(f"solver.eps: must lie in (0, {EPS_MAX:g}], got {solver.eps}")
-    if solver.replicas < MIN_REPLICAS:
-        raise ConfigError(f"solver.replicas: must be >= {MIN_REPLICAS}, got {solver.replicas}")
+    if not MIN_REPLICAS <= solver.replicas <= MAX_REPLICAS:
+        raise ConfigError(f"solver.replicas: must lie in [{MIN_REPLICAS}, {MAX_REPLICAS}], "
+                          f"got {solver.replicas}")
     if solver.seed < 0:
         raise ConfigError(f"solver.seed: must be >= 0, got {solver.seed}")
 
@@ -257,6 +271,11 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     with _malformed("table"):
         table_n = tuple(_integer(n, "table.N") for n in table_map.get("N", DEFAULT_TABLE_N))
         table_c = tuple(_integer(c, "table.c") for c in table_map.get("c", DEFAULT_TABLE_C))
+    for n, c in itertools.product(table_n, table_c):
+        if 1 <= c < n:  # the other pairs are skipped
+            _check_states("table", n, c)
+    if model.mode is Mode.HETEROGENEOUS and any(n > MAX_GRAPH_NODES for n in table_n):
+        raise ConfigError(f"table.N: the ring_with_hub(N) fixture allows N <= MAX_GRAPH_NODES = {MAX_GRAPH_NODES}")
     table_times = _parse_times(table_map.get("times", DEFAULT_TABLE_TIMES), "table.times")
     with _malformed("sweep.thetas"):
         sweep_thetas = tuple(_number(t, "sweep.thetas")

@@ -137,6 +137,11 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
                 column_of[key] = len(shifts)
                 shifts.append(np.longdouble(k) * _LN2_EXT / np.longdouble(t))
             columns[n, k - 1] = column_of[key]
+    # solve the abscissae in ascending order, so each row meets its k in order whatever the chunking
+    ascending = sorted(column_of, key=lambda key: Fraction(*key))
+    rank = np.empty(len(shifts), dtype=np.intp)
+    rank[[column_of[key] for key in ascending]] = np.arange(len(shifts))
+    columns, shifts = rank[columns], [shifts[column_of[key]] for key in ascending]
 
     acc = np.zeros((grid.size, gen.dim), dtype=np.longdouble)
     for cols, x in solve_resolvents(gen, np.array(shifts, dtype=np.longdouble), p0.values):

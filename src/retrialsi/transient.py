@@ -3,8 +3,10 @@
 Uniformization expresses P(t) = P(0) exp(Q t) as a Poisson mixture of powers of
 the stochastic matrix U = I + Q / Lambda, truncated with an explicit total
 variation bound.  It serves as the oracle the inverse-transform solver is
-checked against.  Gillespie sampling provides a third, statistical route.
-No route loads scipy.
+checked against.  One stepping loop serves a single time (:func:`uniformize`)
+and a grid (:func:`transient_grid`): it bounds Lambda * t_max and builds U once
+per grid, then steps interval by interval.  Gillespie sampling provides a
+third, statistical route.  No route loads scipy.
 """
 
 from __future__ import annotations
@@ -179,60 +181,57 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
     return w / w.sum()
 
 
-def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
-               eps: float = 1e-10) -> ProbabilityVector:
-    """Propagate ``p0`` for a duration ``t``; total variation error below ``eps``."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
+def _uniformize_grid(gen: GeneratorMatrix, p0: ProbabilityVector, grid: np.ndarray, eps: float):
+    """``p0`` stepped to each time of the increasing, validated ``grid`` in turn, with Lambda and the
+    number of products U^T v taken; Lambda, its bound, U's diagonals and the buffers are set up once."""
     if not 0 < eps <= EPS_MAX:
         raise DomainError(f"eps must lie in (0, {EPS_MAX:g}], got {eps}")
     v = np.array(p0.values, dtype=float)
     if v.shape != (gen.dim,):
         raise DomainError(f"p0 has shape {v.shape}, system dimension is {gen.dim}")
-    out_t = p0.t + t
-    lam = float(gen.exit_rates().max())
-    if t == 0.0 or lam == 0.0:
-        return ProbabilityVector(v, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space)
-
-    if not lam * t <= MAX_POISSON_MEAN:
-        raise DomainError(f"uniformization Poisson mean Lambda * t = {lam} * {t} exceeds "
+    lam = float(gen.exit_rates().max(initial=0.0))
+    if not lam * grid[-1] <= MAX_POISSON_MEAN:  # NaN and inf fail too
+        raise DomainError(f"uniformization Poisson mean Lambda * t_max = {lam} * {grid[-1]} exceeds "
                           f"MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}")
-    weights = _poisson_weights(lam * t, eps)
     # U = eye + Q / lam as scipy forms it, Q * (1 / lam) plus 1 on the diagonal: a step is its U.T @ v bit
     # for bit, as the zeros scipy drops weigh 0 here, and adding 0 * v never changes a sum begun at +0
-    q, scale = gen.csr, 1.0 / lam
+    q, scale = gen.csr, 1.0 / lam if lam else 0.0  # at lam = 0 every Poisson weight vector is [1]
     ut = sorted([(d, lo, w * scale) for d, lo, w in q.diagonals() if d] + [(0, 0, 1.0 + q.diagonal() * scale)],
                 key=lambda diagonal: -diagonal[0])
-    acc, after, term = weights[0] * v, np.empty_like(v), np.empty_like(v)
+    after, term = np.empty_like(v), np.empty_like(v)
     steps = ((transposed_product(ut, v, after, term), after), (transposed_product(ut, after, v, term), v))
-    for w, (step, stepped) in zip(weights[1:], itertools.cycle(steps)):  # into after, v, after, ...
-        stepped.fill(0.0)
-        acc += np.multiply(w, step(), out=term)
-    return ProbabilityVector(acc, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space)
+    vectors, out_t, prev_t, products = [], p0.t, 0.0, 0
+    for t in grid.tolist():
+        weights = _poisson_weights(lam * (t - prev_t), eps)
+        acc = weights[0] * v
+        for w, (step, stepped) in zip(weights[1:], itertools.cycle(steps)):  # into after, v, after, ...
+            stepped.fill(0.0)
+            acc += np.multiply(w, step(), out=term)
+        v[:] = acc
+        out_t, prev_t, products = out_t + (t - prev_t), t, products + weights.size - 1
+        vectors.append(ProbabilityVector(acc, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space))
+    return vectors, lam, products
+
+
+def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
+               eps: float = 1e-10) -> ProbabilityVector:
+    """Propagate ``p0`` for a duration ``t``; total variation error below ``eps``."""
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    return _uniformize_grid(gen, p0, np.array([t], dtype=float), eps)[0][0]
 
 
 def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
                    eps: float = 1e-10) -> TransientSolution:
-    """Evaluate the distribution on a time grid, propagating step by step.
+    """Evaluate the distribution on a time grid, propagating interval by interval.
 
     Cost scales with the largest time, not with grid size times horizon: the steps of all
     intervals together number about Lambda * t_max, bounded by MAX_POISSON_MEAN up front.
+    The metadata records Lambda (``rate``) and the products U^T v taken (``steps``).
     """
     grid = time_grid(times)
-    lam = float(gen.exit_rates().max(initial=0.0))
-    if lam * grid[-1] > MAX_POISSON_MEAN:
-        raise DomainError(f"uniformization Poisson mean over the grid Lambda * t_max = {lam} * "
-                          f"{grid[-1]} exceeds MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}")
-
-    vectors = []
-    current = p0
-    prev_t = 0.0
-    for t in grid:
-        current = uniformize(gen, current, float(t) - prev_t, eps)
-        vectors.append(current)
-        prev_t = float(t)
-    meta = {"method": "uniformization", "eps": eps}
-    return TransientSolution(grid, vectors, meta)
+    vectors, lam, steps = _uniformize_grid(gen, p0, grid, eps)
+    return TransientSolution(grid, vectors, {"method": "uniformization", "eps": eps, "rate": lam, "steps": steps})
 
 
 def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
@@ -263,8 +262,8 @@ def simulate_gillespie(cfg: ModelConfig, rate_fn: RateFunction, horizon: float,
     Random draws are consumed from fixed-size buffers (one unit-exponential
     and one uniform per event, in event order), so a seed pins the path.
     """
-    if horizon <= 0:
-        raise DomainError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:  # a NaN or infinite horizon is never passed, and no path would end
+        raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     space = cfg.space
     exit_rate, cum, targets = _transition_table(cfg, rate_fn)
     last = cum.shape[1] - 1

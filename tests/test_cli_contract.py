@@ -4,9 +4,11 @@ Configs are drawn from the documented schema (small N, a bounded grid), and
 at one leaf a value is replaced by a wrong type, a bool, NaN or +-inf, a
 negative, non-integral or huge number, or the key is dropped or joined by an
 extra one.  Huge values go only to leaves whose range the parser bounds: a
-huge N, replica count, rate or time sets the amount of work, and nothing
-bounds that yet.  Two fixed cases give uniformization a huge rate and a
-long grid of short intervals, which ``MAX_POISSON_MEAN`` bounds.
+huge rate or time sets the amount of work, and nothing bounds that yet.  Two
+fixed cases give uniformization a huge rate and a long grid of short
+intervals, which ``MAX_POISSON_MEAN`` bounds; others give the parser huge
+state counts, replica counts and graphs, which ``MAX_STATES``,
+``MAX_REPLICAS`` and ``MAX_GRAPH_NODES`` bound.
 """
 
 import contextlib
@@ -147,3 +149,35 @@ def test_grid_wide_poisson_mean_exits_two_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_CONFIG
     assert "MAX_POISSON_MEAN" in stderr.getvalue() and "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize("model, extra, graph_nodes, key", [
+    # 7.28 TiB of replica state
+    ({"N": 10, "c": 5}, {"solver": {"replicas": 10 ** 12}}, None, "solver.replicas"),
+    # 18.6 GiB of transitions
+    ({"N": 100_000, "c": 50_000}, {}, None, "model"),
+    ({"N": 10, "c": 5}, {"table": {"N": [10, 100_000], "c": [5, 50_000]}}, None, "table"),
+    # an n x n adjacency of 8 TB, and one of 80 GB for a model of only 200,000 states
+    ({"N": 10, "c": 5}, {}, 1_000_000, "MAX_GRAPH_NODES"),
+    ({"N": 100_000, "c": 99_999}, {}, 100_000, "MAX_GRAPH_NODES"),
+    ({"N": 10, "c": 5}, {}, 40, "differs"),
+    ({"N": 10, "c": 5}, {"table": {"N": [100_000], "c": [99_999]}}, 10, "table.N"),
+])
+def test_huge_sizes_exit_two_at_once(tmp_path, model, extra, graph_nodes, key):
+    config = {"model": {**model, "alpha": 5.0, "mu": 0.4, "theta": 2.0}, "times": [1.0],
+              "outputs": ["moments"], **extra}
+    if graph_nodes is not None:  # a header alone: the check must come before the adjacency is allocated
+        (tmp_path / "graph.txt").write_text(f"n {graph_nodes}\n0 1\n")
+        config["model"].update(mode="heterogeneous", tagged_node=2)
+        config["graph_path"] = "graph.txt"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    for command in ("validate-config", "solve", "table"):
+        stderr = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--config", str(path), "--method", "monte_carlo",
+                             "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_CONFIG, command
+        assert key in stderr.getvalue() and "Traceback" not in stderr.getvalue()

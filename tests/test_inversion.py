@@ -154,6 +154,18 @@ class TestTransientViaIlt:
         for a, b in zip(whole.vectors, chunked.vectors):
             assert np.abs(a.values - b.values).max() <= 1e-8
 
+    def test_output_independent_of_sweep_chunking(self, wellmixed_generator, wellmixed_p0, monkeypatch):
+        # abscissae solved in ascending order reach every row's accumulator in k order, whatever the chunks
+        times = np.arange(1, 19) * 0.5
+
+        def solved(entries):
+            monkeypatch.setattr(laplace, "SWEEP_ENTRIES", entries)
+            return [v.values for v in rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, times).vectors]
+
+        one_chunk = solved(2 ** 22)
+        for entries in (3 * wellmixed_generator.dim, 7 * wellmixed_generator.dim, 2 ** 12):
+            np.testing.assert_array_equal(solved(entries), one_chunk)
+
     def test_unmet_residual_bound_raises(self, wellmixed_generator, wellmixed_p0, monkeypatch):
         monkeypatch.setattr(laplace, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError, match="residual"):

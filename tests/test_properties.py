@@ -75,6 +75,22 @@ def test_generator_simulator_and_oracle_agree(model, t):
 
 
 @PROPERTY_SETTINGS
+@given(models(max_n=12), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5, unique=True).map(sorted),
+       st.floats(0.0, 100.0))
+def test_grid_equals_chained_uniformize(model, times, start):
+    # one stepping loop: a grid is the chain of its intervals, bit for bit, timestamps included
+    cfg, graph = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    previous = rs.ProbabilityVector(rs.delta_vector(cfg.space, cfg.initial_state).values, start,
+                                    "uniformization", cfg.space)
+    sol = rs.transient_grid(gen, previous, times)
+    for vector, t, before in zip(sol.vectors, times, [0.0, *times]):
+        previous = rs.uniformize(gen, previous, t - before)
+        assert np.array_equal(vector.values, previous.values)
+        assert vector.t == previous.t
+
+
+@PROPERTY_SETTINGS
 @given(models(), st.integers(0, 2 ** 32 - 1))
 def test_uniformization_step_matches_scipy(step_matches_scipy, model, seed):
     cfg, graph = model

@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.linalg import expm
 import retrialsi as rs
 from retrialsi import ModelConfig
 from retrialsi.errors import DomainError
-from retrialsi.transient import MAX_POISSON_MEAN, _transition_table
+from retrialsi.generator import CsrArrays
+from retrialsi.transient import MAX_POISSON_MEAN, _poisson_weights, _transition_table
 
 STENCIL_MOVES = {(1, 0), (-1, 0), (1, -1), (0, 1)}
 
@@ -120,6 +122,21 @@ class TestTransientGrid:
         with pytest.raises(DomainError):
             sol.at(3.0)
 
+    def test_builds_diagonals_once(self, wellmixed_generator, wellmixed_p0):
+        # U is set up once per grid, not once per interval
+        with mock.patch.object(CsrArrays, "diagonals", autospec=True,
+                               side_effect=CsrArrays.diagonals) as diagonals:
+            rs.transient_grid(wellmixed_generator, wellmixed_p0, np.arange(11) * 0.5)
+        assert diagonals.call_count == 1
+
+    def test_metadata_counts_products(self, wellmixed_generator, wellmixed_p0):
+        eps, grid = 1e-10, [0.0, 0.3, 1.0, 4.0]
+        sol = rs.transient_grid(wellmixed_generator, wellmixed_p0, grid, eps)
+        lam = float(wellmixed_generator.exit_rates().max())
+        assert sol.metadata["rate"] == lam
+        assert sol.metadata["steps"] == sum(_poisson_weights(lam * dt, eps).size - 1
+                                            for dt in np.diff(grid, prepend=0.0))
+
 
 class TestGillespie:
     def test_first_jump_from_empty_system(self, wellmixed_config):
@@ -174,6 +191,12 @@ class TestGillespie:
     def test_bad_horizon(self, wellmixed_config):
         with pytest.raises(DomainError):
             rs.simulate_gillespie(wellmixed_config, rs.rate_function(wellmixed_config), 0.0, 1)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon(self, wellmixed_config, horizon):
+        # t > horizon never holds, and with mu > 0 no state is absorbing: the path would never end
+        with pytest.raises(DomainError, match="finite"):
+            rs.simulate_gillespie(wellmixed_config, rs.rate_function(wellmixed_config), horizon, 1)
 
     def test_csv_dump(self, wellmixed_config, tmp_path):
         traj = rs.simulate_gillespie(wellmixed_config, rs.rate_function(wellmixed_config), 2.0, 5)
