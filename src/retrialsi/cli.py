@@ -68,6 +68,10 @@ MAX_RANGE_POINTS = 1_000_000  # most times a {start, stop, step} range may expan
 # most states (c + 1)(N - c + 1) of a model; 251,001 states (N = 1000, c = 500) peak at 172 MB RSS and
 # take 36 s of inversion per time point
 MAX_STATES = 300_000
+# most times x states of one solved grid (a route keeps a vector per time, the inversion a longdouble
+# accumulator besides); 3,844 times x 2,601 states peak at 281 MB RSS under the inversion, and the
+# default 29-point grid at MAX_STATES holds 8.7e6
+MAX_GRID_ENTRIES = 10_000_000
 MAX_REPLICAS = 4_000_000  # most Monte Carlo replicas; 4e6 peak at 436 MB RSS
 
 
@@ -170,6 +174,13 @@ def _check_states(label, n, c):
     states = (c + 1) * (n - c + 1)
     if states > MAX_STATES:
         raise ConfigError(f"{label}: N = {n}, c = {c} give {states} states, more than MAX_STATES = {MAX_STATES}")
+    return states
+
+
+def _check_grid(label, times, states):
+    if times is not None and times.size * states > MAX_GRID_ENTRIES:
+        raise ConfigError(f"{label}: {times.size} times x {states} states give {times.size * states} "
+                          f"values, more than MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}")
 
 
 def load_scenario(path, method_override=None, seed_override=None) -> ScenarioConfig:
@@ -219,7 +230,9 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
             initial_state=initial_state,
         )
 
-    _check_states("model", model.N, model.c)
+    states = _check_states("model", model.N, model.c)
+    if model.tagged_node is not None and not 0 <= model.tagged_node < model.N:
+        raise ConfigError(f"model.tagged_node: must lie in 0..{model.N - 1}, got {model.tagged_node}")
 
     graph = None
     graph_path = mapping.get("graph_path")
@@ -271,12 +284,12 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     with _malformed("table"):
         table_n = tuple(_integer(n, "table.N") for n in table_map.get("N", DEFAULT_TABLE_N))
         table_c = tuple(_integer(c, "table.c") for c in table_map.get("c", DEFAULT_TABLE_C))
-    for n, c in itertools.product(table_n, table_c):
-        if 1 <= c < n:  # the other pairs are skipped
-            _check_states("table", n, c)
+    table_states = [_check_states("table", n, c)  # the other pairs are skipped
+                    for n, c in itertools.product(table_n, table_c) if 1 <= c < n]
     if model.mode is Mode.HETEROGENEOUS and any(n > MAX_GRAPH_NODES for n in table_n):
         raise ConfigError(f"table.N: the ring_with_hub(N) fixture allows N <= MAX_GRAPH_NODES = {MAX_GRAPH_NODES}")
     table_times = _parse_times(table_map.get("times", DEFAULT_TABLE_TIMES), "table.times")
+    _check_grid("table.times", table_times, max(table_states, default=0))
     with _malformed("sweep.thetas"):
         sweep_thetas = tuple(_number(t, "sweep.thetas")
                              for t in sweep_map.get("thetas", DEFAULT_SWEEP_THETAS))
@@ -286,7 +299,7 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     raw = {k: v for k, v in mapping.items()}
     raw["solver"] = {**solver_map, "method": method, "seed": solver.seed}
 
-    return ScenarioConfig(
+    scenario = ScenarioConfig(
         model=model,
         solver=solver,
         times=times,
@@ -300,6 +313,9 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         sweep_times=_parse_times(sweep_map.get("times"), "sweep.times"),
         raw=raw,
     )
+    _check_grid("times", scenario.grid(), states)  # the sweep's grid when it has none of its own
+    _check_grid("sweep.times", scenario.sweep_times, states)
+    return scenario
 
 
 # --- solving ---------------------------------------------------------------

@@ -109,72 +109,69 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
 
     For each t the resolvent is solved at s = k ln 2 / t, k = 1..K, and the
     solutions are combined with the Stehfest weights.  Pairs (k, t) with the
-    same exact ratio k / t share one solve; metadata records the number of
-    distinct abscissae.  Raw entries must stay within RAW_TOLERANCE_BAND of
-    [0, 1]; the vector is then renormalized to total probability one and
+    same exact ratio k / t share one solve, at the abscissa of the pair that
+    comes first on the grid; metadata records the number of distinct
+    abscissae.  They are solved in ascending order, so every time point adds
+    its K terms in k order and the output does not depend on the sweep's
+    chunking.  Raw entries must stay within RAW_TOLERANCE_BAND of [0, 1],
+    else AccuracyError names the first time point that strays and its worst
+    state; each vector is then renormalized to total probability one and
     returned *signed*: near-zero states can carry negative excursions of
     order 1e-5 (inversion truncation wiggle), and zeroing them would bias the
-    orbit moments by an order of magnitude more than the wiggle itself.  Use :meth:`ProbabilityVector.clipped` when a
-    strictly nonnegative distribution is required.  Raw deviations are
-    recorded in metadata.
+    orbit moments by an order of magnitude more than the wiggle itself.  Use
+    :meth:`ProbabilityVector.clipped` when a strictly nonnegative
+    distribution is required.  Metadata records each time point's band
+    excursion and raw mass deviation.
     """
     grid = time_grid(times)
     if grid[0] <= 0:
         raise DomainError("times must be strictly positive")
 
     v_ext = stehfest_coefficients(order).values_extended
-    # one abscissa k ln2 / t per exact ratio k / t: repeats across the grid are solved once.
-    # With t = num / den, the ratio is k * den / num, keyed as that fraction in lowest terms.
-    column_of: dict[tuple[int, int], int] = {}
-    shifts = []
+    # With t = num / den, the ratio k / t is k * den / num.  Scaled by 2**bits >= num * num' and
+    # floored, it stays exact: equal ratios share a key, and distinct ones keep their order.
+    fractions = [t.as_integer_ratio() for t in grid.tolist()]
+    bits = 2 * max(num.bit_length() for num, _ in fractions)
+    keys = np.array([(k * den << bits) // num for num, den in fractions for k in range(1, order + 1)],
+                    dtype=object)
+    pairs = np.argsort(keys, kind="stable")  # ascending; equal ratios in grid order
+    first = np.r_[True, keys[pairs[1:]] != keys[pairs[:-1]]]
     columns = np.empty((grid.size, order), dtype=np.intp)
-    for n, t in enumerate(grid.tolist()):
-        num, den = t.as_integer_ratio()
-        for k in range(1, order + 1):
-            g = math.gcd(k * den, num)
-            key = (k * den // g, num // g)
-            if key not in column_of:
-                column_of[key] = len(shifts)
-                shifts.append(np.longdouble(k) * _LN2_EXT / np.longdouble(t))
-            columns[n, k - 1] = column_of[key]
-    # solve the abscissae in ascending order, so each row meets its k in order whatever the chunking
-    ascending = sorted(column_of, key=lambda key: Fraction(*key))
-    rank = np.empty(len(shifts), dtype=np.intp)
-    rank[[column_of[key] for key in ascending]] = np.arange(len(shifts))
-    columns, shifts = rank[columns], [shifts[column_of[key]] for key in ascending]
+    columns.flat[pairs] = np.cumsum(first) - 1
+    n, k = np.divmod(pairs[first], order)
+    shifts = (k + 1).astype(np.longdouble) * _LN2_EXT / grid[n].astype(np.longdouble)
 
     acc = np.zeros((grid.size, gen.dim), dtype=np.longdouble)
-    for cols, x in solve_resolvents(gen, np.array(shifts, dtype=np.longdouble), p0.values):
+    for cols, x in solve_resolvents(gen, shifts, p0.values):
         for k in range(order):
             rows = np.flatnonzero((columns[:, k] >= cols.start) & (columns[:, k] < cols.stop))
             acc[rows] += v_ext[k] * x[columns[rows, k] - cols.start]
         del x  # free this chunk before the sweep of the next one
 
-    vectors = []
-    raw_sum_deviation = []
-    band_excursion = []
-    for t, total in zip(grid, acc):
-        raw = np.asarray((_LN2_EXT / np.longdouble(t)) * total, dtype=float)
-
-        excursion = max(float(-raw.min()), float(raw.max() - 1.0), 0.0)
-        if excursion > RAW_TOLERANCE_BAND:
-            worst = int(np.argmin(raw)) if -raw.min() >= raw.max() - 1.0 else int(np.argmax(raw))
-            state = gen.space.state_at(worst)
-            raise AccuracyError(
-                f"inverted probabilities stray {excursion:.3e} outside [0, 1] "
-                f"at t={t} (state {state}); decrease the step or change order K={order}",
-                t=float(t), state=state,
-            )
-        band_excursion.append(excursion)
-        raw_sum_deviation.append(float(raw.sum() - 1.0))
-        normalized = raw / raw.sum()
-        vectors.append(ProbabilityVector(normalized, p0.t + float(t), Provenance.ILT, gen.space))
-
+    acc *= (_LN2_EXT / grid.astype(np.longdouble))[:, None]
+    raw = acc.astype(float)
+    del acc
+    low, high = raw.min(axis=1), raw.max(axis=1)
+    excursion = np.maximum(np.maximum(-low, high - 1.0), 0.0)
+    failing = np.flatnonzero(excursion > RAW_TOLERANCE_BAND)
+    if failing.size:
+        n = failing[0]
+        worst = np.argmin(raw[n]) if -low[n] >= high[n] - 1.0 else np.argmax(raw[n])
+        state = gen.space.state_at(int(worst))
+        raise AccuracyError(
+            f"inverted probabilities stray {excursion[n]:.3e} outside [0, 1] "
+            f"at t={grid[n]} (state {state}); decrease the step or change order K={order}",
+            t=float(grid[n]), state=state,
+        )
+    totals = raw.sum(axis=1)
+    raw /= totals[:, None]
     meta = {
         "method": "ilt",
         "order": order,
-        "abscissae": len(shifts),
-        "raw_sum_deviation": raw_sum_deviation,
-        "band_excursion": band_excursion,
+        "abscissae": shifts.size,
+        "raw_sum_deviation": (totals - 1.0).tolist(),
+        "band_excursion": excursion.tolist(),
     }
+    vectors = [ProbabilityVector(row, p0.t + t, Provenance.ILT, gen.space)
+               for t, row in zip(grid.tolist(), raw)]
     return TransientSolution(grid, vectors, meta)

@@ -137,6 +137,17 @@ class TestExitCodes:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "graph_path" in capsys.readouterr().err
 
+    def test_tagged_node_outside_the_population_fails_validation(self, tmp_path, capsys):
+        path = tmp_path / "het.yaml"
+        path.write_text(
+            "model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, mode: heterogeneous, tagged_node: 50}\n"
+            f"graph_path: {REPO / 'graphs' / 'ring_hub_10.txt'}\n"
+            "outputs: [moments]\n"
+        )
+        for command in ("validate-config", "solve"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2, command
+            assert "model.tagged_node" in capsys.readouterr().err
+
     def test_empty_times(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(
@@ -482,6 +493,29 @@ class TestScenarioParsing:
             scenario_from_mapping({**base, "table": {"times": [-1.0, 1.0]}})
         with pytest.raises(ConfigError, match="^sweep.times: times must be finite"):
             scenario_from_mapping({**base, "sweep": {"times": [1.0, float("inf")]}})
+
+    def test_grid_entries_bounded_on_every_grid(self):
+        # N = 1000, c = 500 give 251,001 states: 39 times stay within MAX_GRID_ENTRIES, 40 do not
+        model = {"N": 1000, "c": 500, "alpha": 5, "mu": 0.4, "theta": 2}
+        small = {"N": 10, "c": 5, "alpha": 5, "mu": 0.4, "theta": 2}
+        grid = {"start": 0.5, "stop": 20.0, "step": 0.5}
+        assert scenario_from_mapping({"model": model, "times": {**grid, "stop": 19.5}}).grid().size == 39
+        for label, mapping in [("times", {"model": model, "times": grid}),
+                               ("sweep.times", {"model": model, "sweep": {"times": grid}}),
+                               ("table.times", {"model": small,
+                                                "table": {"N": [10, 1000], "c": [5, 500], "times": grid}})]:
+            with pytest.raises(ConfigError, match=rf"^{label}: 40 times x 251001 states .* MAX_GRID_ENTRIES"):
+                scenario_from_mapping(mapping)
+
+    def test_default_grid_at_max_states_accepted(self, tmp_path):
+        # the heterogeneous default grid has 29 times; N = 1093, c = 546 give 299,756 states
+        graph = tmp_path / "g.txt"
+        graph.write_text(rs.graph_to_text(rs.ring_with_hub(1093)))
+        scenario = scenario_from_mapping({
+            "model": {"N": 1093, "c": 546, "alpha": 5, "mu": 0.4, "theta": 2, "mode": "heterogeneous"},
+            "graph_path": "g.txt",
+        }, base_dir=tmp_path)
+        assert scenario.grid().size == 29 and 299_756 <= cli.MAX_STATES
 
     def test_heterogeneous_default_tagged_node(self, tmp_path):
         graph = tmp_path / "g.txt"

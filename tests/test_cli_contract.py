@@ -7,8 +7,8 @@ extra one.  Huge values go only to leaves whose range the parser bounds: a
 huge rate or time sets the amount of work, and nothing bounds that yet.  Two
 fixed cases give uniformization a huge rate and a long grid of short
 intervals, which ``MAX_POISSON_MEAN`` bounds; others give the parser huge
-state counts, replica counts and graphs, which ``MAX_STATES``,
-``MAX_REPLICAS`` and ``MAX_GRAPH_NODES`` bound.
+state counts, replica counts, grids and graphs, which ``MAX_STATES``,
+``MAX_REPLICAS``, ``MAX_GRID_ENTRIES`` and ``MAX_GRAPH_NODES`` bound.
 """
 
 import contextlib
@@ -29,8 +29,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 CONTRACT_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC}
 HUGE = 10 ** 12
-BOUNDED_LEAVES = {("model", "c"), ("model", "initial_state", 0), ("model", "initial_state", 1),
-                  ("solver", "K"), ("solver", "eps"), ("solver", "seed"),
+BOUNDED_LEAVES = {("model", "N"), ("model", "c"), ("model", "initial_state", 0),
+                  ("model", "initial_state", 1), ("solver", "K"), ("solver", "eps"),
+                  ("solver", "replicas"), ("solver", "seed"),
                   ("times", "start"), ("times", "stop"), ("times", "step")}
 SUBSTITUTES = {
     "wrong_type": st.sampled_from(["x", [1], {"a": 1}, None]),
@@ -162,6 +163,8 @@ def test_grid_wide_poisson_mean_exits_two_at_once(tmp_path):
     ({"N": 100_000, "c": 99_999}, {}, 100_000, "MAX_GRAPH_NODES"),
     ({"N": 10, "c": 5}, {}, 40, "differs"),
     ({"N": 10, "c": 5}, {"table": {"N": [100_000], "c": [99_999]}}, 10, "table.N"),
+    # 37.4 GiB of inversion accumulator: 10,000 times x 251,001 states, each within its own bound
+    ({"N": 1000, "c": 500}, {"times": {"start": 0.01, "stop": 100, "step": 0.01}}, None, "times"),
 ])
 def test_huge_sizes_exit_two_at_once(tmp_path, model, extra, graph_nodes, key):
     config = {"model": {**model, "alpha": 5.0, "mu": 0.4, "theta": 2.0}, "times": [1.0],

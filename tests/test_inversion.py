@@ -1,11 +1,12 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import retrialsi as rs
-from retrialsi import laplace
+from retrialsi import inversion, laplace
 from retrialsi.errors import AccuracyError, DomainError, NumericalError
 
 # Closed-form transform pairs used as oracles.  The tolerances are the
@@ -115,6 +116,53 @@ class TestTransientViaIlt:
             rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [0.5], order=4)
         assert err.value.t == 0.5
         assert err.value.state is not None
+
+    def test_low_order_names_first_failing_time_of_a_grid(self, wellmixed_generator, wellmixed_p0):
+        # at K = 4, t = 2 and 3 stay in the band and 5, 6 and 8 stray, 6 the furthest
+        times = [2.0, 3.0, 5.0, 6.0, 8.0]
+        single = []
+        for t in times:
+            try:
+                rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [t], order=4)
+            except AccuracyError as exc:
+                single.append(exc)
+        assert [exc.t for exc in single] == [5.0, 6.0, 8.0]
+        with pytest.raises(AccuracyError) as err:
+            rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, times, order=4)
+        first = single[0]
+        assert (err.value.t, err.value.state, str(err.value)) == (first.t, first.state, str(first))
+
+    def test_grid_metadata_has_one_float_per_time(self, wellmixed_generator, wellmixed_p0):
+        # the bench tracer takes max() of these lists
+        times = [0.5, 2.0, 5.0, 10.0]
+        sol = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, times)
+        assert type(sol.metadata["abscissae"]) is int
+        for key in ("band_excursion", "raw_sum_deviation"):
+            values = sol.metadata[key]
+            assert type(values) is list and len(values) == len(times), key
+            assert all(type(v) is float for v in values), key
+
+    def test_grid_abscissae_ascend_at_each_ratios_first_pair(self, wellmixed_generator, wellmixed_p0,
+                                                            monkeypatch):
+        # equal ratios k / t can give abscissae k ln2 / t an ulp apart on this grid: each must
+        # be computed from the first of its pairs (k, t) in grid order
+        solved = []
+
+        def capture(gen, shifts, rhs):
+            solved.append(shifts)
+            return laplace.solve_resolvents(gen, shifts, rhs)
+
+        monkeypatch.setattr(inversion, "solve_resolvents", capture)
+        times = np.arange(1, 19) * 0.5
+        rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, times)
+        (shifts,) = solved
+        assert shifts.dtype == np.longdouble and np.all(np.diff(shifts) > 0)
+        ln2 = np.log(np.longdouble(2.0))
+        first = {}
+        for t in times.tolist():
+            for k in range(1, 21):
+                first.setdefault(Fraction(k) / Fraction(t), np.longdouble(k) * ln2 / np.longdouble(t))
+        np.testing.assert_array_equal(shifts, [first[ratio] for ratio in sorted(first)])
 
     def test_metadata(self, wellmixed_generator, wellmixed_p0):
         sol = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [1.0], order=16)
