@@ -15,7 +15,11 @@ j = N - c down to 0 (linear level reduction: Gaver, Jacobs & Latouche, Adv.
 Appl. Prob. 16, 1984).  A level's Schur complement is tridiagonal plus one
 dense column; one Thomas pass solves it, affine in x(c, j-1), and a
 back-substitution from j = 0 upward recovers x.  All the shifts of a time
-grid travel through the sweep together as vectors, in longdouble.
+grid travel through the sweep together as vectors, in longdouble.  Each
+level's pivot factors wait in that level's rows of the solution array until
+the sweep reaches it, so a chunk holds about three longdouble arrays of
+states x shifts: the slopes and offsets and the returned x in the sweep, and
+x, the residual and one scratch array in the residual check.
 
 No pivot subtracts.  As in the state reduction of Grassmann, Taksar &
 Heyman (Oper. Res. 33, 1985), with s as a killing rate, each pivot is a sum
@@ -49,10 +53,11 @@ DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # decreasing shifts of st
 FVT_TOL = 1e-5  # max-norm step between the last two grid points that counts as converged
 RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of every resolvent solve, in longdouble
 #: Largest dim * width of one sweep; more shifts than that run in chunks.  The
-#: sweep's working set is a few longdouble arrays of this many entries (4 MiB
-#: each at the bound).  2**18 is the smallest power of two that holds N = 200
-#: at one time point (10,201 states x 20 shifts) in one chunk.
-SWEEP_ENTRIES = 2 ** 18
+#: sweep's working set is about three longdouble arrays of this many entries
+#: (8 MiB each at the bound).  2**19 holds N = 200 at one time point (10,201
+#: states x 20 shifts) in one chunk, and a chunk takes about the bytes that
+#: 2**18 took when the sweep held six such arrays.
+SWEEP_ENTRIES = 2 ** 19
 
 
 @np.errstate(all="ignore")  # a zero or overflowing pivot shows in the residual check
@@ -66,26 +71,28 @@ def _sweep(rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
     levels, units = arrival.shape
     c = units - 1
     b = b.reshape(units, levels).T  # level-major, [j, i]
-    # Rows i < c of all levels, laid out [i, j, k] for contiguous slices over i:
-    # inv is 1 / pivot, and leave and fwd are the rates of leaving the level
-    # (directly or through lower rows) and of arrival, times inv.
-    up = arrival.T[1:, :, None]  # (i, j) -> (i+1, j)
-    leave = np.tile(s, (c, levels, 1))
-    leave[:, 1:] += retrial.T[1:, :-1, None]  # (i, j) -> (i+1, j-1)
-    inv = np.empty_like(leave)
+    # sol[j, i, 0] is the slope w, sol[j, i, 1] the offset u.  Until the sweep
+    # reaches level j, rows i < c hold the level's factors instead: in slot 0
+    # the rate of leaving the level (directly or through lower rows) times 1 /
+    # pivot, in slot 1 the 1 / pivot itself.
+    sol = np.empty((levels, units, 2, s.size), dtype=np.longdouble)
+    up = arrival[:, 1:].T  # (i, j) -> (i+1, j), as [i, j]
+    sol[:, :c, 0] = s
+    sol[1:, :c, 0] += retrial[:-1, 1:, None]  # (i, j) -> (i+1, j-1)
     for i in range(c):
+        leave, inv = sol[:, i, 0], sol[:, i, 1]
         if i:
-            leave[i] += recovery.T[i - 1, :, None] * leave[i - 1]
-        np.reciprocal(up[i] + leave[i], out=inv[i])
-        leave[i] *= inv[i]
-    fwd = up * inv
+            leave += recovery[:, i - 1, None] * sol[:, i - 1, 0]
+        np.reciprocal(up[i, :, None] + leave, out=inv)
+        leave *= inv
 
-    # sol[j, i, 0] is the slope w, sol[j, i, 1] the offset u
-    sol = np.zeros((levels, units, 2, s.size), dtype=np.longdouble)
     above = np.zeros_like(s)  # time spent above level j per unit time at (c, j)
     for j in range(levels - 1, -1, -1):
-        # rows i < c: column c (entry (i, c) negated), then the right-hand side
         z = sol[j, :c]
+        leave_j, inv_j = z[:, 0].copy(), z[:, 1].copy()  # the level's factors, before z takes x
+        fwd_j = up[:, j, None] * inv_j  # the arrival rate times 1 / pivot
+        # rows i < c: column c (entry (i, c) negated), then the right-hand side
+        z[:, 0] = 0
         z[:, 1] = b[j, :c, None]
         rhs_c = b[j, c]
         if j + 1 < levels:  # retrials from the level above, (i-1, j+1) -> (i, j)
@@ -93,12 +100,11 @@ def _sweep(rates, s: np.ndarray, b: np.ndarray) -> np.ndarray:
             z[1:] += inflow[:-1]
             rhs_c = rhs_c + inflow[-1, 1]
         z[c - 1, 0] += recovery[j, c - 1]  # (c, j) -> (c-1, j) sits in column c too
-        fwd_j, inv_j = fwd[:, j], inv[:, j]
         rows = list(z)  # views of z's rows: += on a list item copies nothing back into z
         for i in range(1, c):
             rows[i] += fwd_j[i - 1] * rows[i - 1]
         top = sol[j, c]
-        denominator = s * (1 + above) + np.einsum("ik,ik->k", leave[:, j], z[:, 0])
+        denominator = s * (1 + above) + np.einsum("ik,ik->k", leave_j, z[:, 0])
         top[0] = orbit[j] / denominator
         top[1] = (rhs_c + fwd_j[c - 1] * z[c - 1, 1]) / denominator
         if j == 0:  # the pivot of (c, 0) is exactly 0 only at s = 0, where b = 0
@@ -124,8 +130,9 @@ def _checked(qt, s: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``qt`` is :attr:`~GeneratorMatrix.matrix_extended` by diagonals, so the
     residual reads Q's own entries; a NaN fails the check.
     """
-    r = transposed_product(qt, x, np.repeat(b[:, None], s.size, axis=1))()  # Q^T x + b
-    residual = np.abs(np.subtract(x * s, r, out=r), out=r).max(axis=0)
+    term = np.empty_like(x)
+    r = transposed_product(qt, x, np.repeat(b[:, None], s.size, axis=1), term)()  # Q^T x + b
+    residual = np.abs(np.subtract(np.multiply(x, s, out=term), r, out=r), out=r).max(axis=0)
     worst = int(np.argmax(residual))  # the first NaN, if any
     if not residual[worst] <= RESIDUAL_TOL:
         raise NumericalError(f"resolvent solve residual {residual[worst]:.3e} exceeds "

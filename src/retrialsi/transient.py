@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -308,10 +309,15 @@ def simulate_gillespie(cfg: ModelConfig, rate_fn: RateFunction, horizon: float,
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
-    """Empirical transient distribution plus per-entry binomial standard errors."""
+    """Empirical transient distribution of ``replicas`` paths, with per-entry binomial standard errors."""
 
     solution: TransientSolution
-    standard_errors: list[np.ndarray]
+    replicas: int
+
+    @cached_property
+    def standard_errors(self) -> list[np.ndarray]:
+        """sqrt(p (1 - p) / replicas) per time and state, computed on first read."""
+        return [np.sqrt(v.values * (1.0 - v.values) / self.replicas) for v in self.solution.vectors]
 
 
 def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
@@ -345,7 +351,6 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
     events = rounds = 0
     start = 0.0
     vectors = []
-    errors = []
     for t_q in grid:
         live = every if t_q > start else every[:0]
         clock = np.full(replicas, start)
@@ -356,11 +361,11 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
             if stuck.any():
                 keep = ~stuck
                 live, lam, clock = live[keep], lam[keep], clock[keep]
-            t_new = clock + rng.exponential(1.0, size=live.size) / lam
+            t_new = clock + rng.standard_exponential(live.size) / lam
             moving = np.flatnonzero(t_new < t_q)
             live, clock = live.take(moving), t_new.take(moving)
             src = state[live]
-            u = rng.uniform(0.0, lam.take(moving))
+            u = rng.random(moving.size) * lam.take(moving)
             slot = np.zeros(src.size, dtype=np.int64)
             for column in columns:
                 slot += column[src] < u
@@ -368,9 +373,7 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
             events += live.size
         start = t_q
         counts = np.bincount(state, minlength=space.size).astype(float)
-        phat = counts / replicas
-        vectors.append(ProbabilityVector(phat, float(t_q), Provenance.MONTE_CARLO, space))
-        errors.append(np.sqrt(phat * (1.0 - phat) / replicas))
+        vectors.append(ProbabilityVector(counts / replicas, float(t_q), Provenance.MONTE_CARLO, space))
     meta = {
         "method": "monte_carlo",
         "replicas": replicas,
@@ -380,4 +383,4 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
         "events": events,
         "rounds": rounds,
     }
-    return MonteCarloResult(TransientSolution(grid, vectors, meta), errors)
+    return MonteCarloResult(TransientSolution(grid, vectors, meta), replicas)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -198,6 +200,23 @@ class TestLevelSweep:
         ((_, x),) = solve_resolvents(gen, shifts, wellmixed_p0.values)
         ((_, canonical),) = solve_resolvents(wellmixed_generator, shifts, wellmixed_p0.values)
         assert np.array_equal(x, canonical)
+
+    def test_working_set_is_about_three_arrays(self):
+        # the factors wait in the solution array and the residual check reuses its scratch
+        # buffer, so one chunk peaks below four longdouble arrays of states x shifts
+        _, gen = make_gen(100, 50)
+        shifts = np.geomspace(0.1, 50.0, 20).astype(np.longdouble)
+        p0 = np.zeros(gen.dim)
+        p0[0] = 1.0
+        gen.matrix_extended  # built once, before the measurement
+        tracemalloc.start()
+        try:
+            ((_, x),) = solve_resolvents(gen, shifts, p0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (shifts.size, gen.dim)
+        assert peak <= 4 * gen.dim * shifts.size * np.dtype(np.longdouble).itemsize
 
     def test_invalid_input_rejected(self, wellmixed_generator, wellmixed_p0):
         v = wellmixed_p0.values

@@ -343,8 +343,14 @@ class TestMonteCarlo:
             def exponential(self, scale, size):
                 return self._rng.exponential(scale, size=size)
 
+            def standard_exponential(self, size):
+                return self._rng.standard_exponential(size)
+
             def uniform(self, low, high):
                 return low + high * (0.25 * self._rng.integers(1, 4, size=np.shape(high)))
+
+            def random(self, size):
+                return 0.25 * self._rng.integers(1, 4, size=size)
 
         monkeypatch.setattr(np.random, "default_rng", TyingGenerator)
         cfg = ModelConfig(N=10, c=5, alpha=1.0, mu=1.0, theta=1.0, initial_state=(2, 2))
