@@ -26,11 +26,7 @@ from .inversion import (
     stehfest_coefficients,
     transient_via_ilt,
 )
-from .laplace import (
-    FvtResult,
-    stationary_fvt,
-    stationary_nullspace,
-)
+from .laplace import stationary_nullspace
 from .measures import (
     MarginalReport,
     marginal_orbit,
@@ -75,7 +71,6 @@ __all__ = [
     "DEFAULT_CHAIN_ORDER",
     "DEFAULT_ORDER",
     "DomainError",
-    "FvtResult",
     "GeneratorMatrix",
     "GraphFormatError",
     "MarginalReport",
@@ -108,7 +103,6 @@ __all__ = [
     "rate_function",
     "ring_with_hub",
     "simulate_gillespie",
-    "stationary_fvt",
     "stationary_nullspace",
     "stehfest_coefficients",
     "transient_grid",

@@ -40,17 +40,12 @@ residual there is one rounding step, not a measurement.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError
 from .generator import GeneratorMatrix, level_rates, transposed_product
 from .transient import ProbabilityVector, Provenance
 
-DEFAULT_S_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # decreasing shifts of stationary_fvt
-FVT_TOL = 1e-5  # max-norm step between the last two grid points that counts as converged
 RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of every resolvent solve, in longdouble
 #: Largest dim * width of one sweep; more shifts than that run in chunks.  The
 #: sweep's working set is about three longdouble arrays of this many entries
@@ -220,41 +215,3 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
             x = _sweep(rates, zero, b)
         pi = _checked(qt, zero, b, x / x.sum())
     return ProbabilityVector(pi[:, 0], np.inf, Provenance.STATIONARY, gen.space)
-
-
-@dataclass(frozen=True, eq=False)
-class FvtResult:
-    """Final-value-theorem limit s P*(s) along a decreasing s grid."""
-
-    vector: ProbabilityVector
-    s_grid: tuple[float, ...]
-    successive_diffs: tuple[float, ...]
-    converged: bool
-
-
-def stationary_fvt(gen: GeneratorMatrix, p0: ProbabilityVector) -> FvtResult:
-    """Approach the stationary vector as lim_{s -> 0} s P*(s) along DEFAULT_S_GRID.
-
-    The limit needs the s factor: the plain transform satisfies
-    sum P*(s) = 1 / s and diverges as s -> 0.  Convergence is judged by the
-    max-norm difference between consecutive grid points, against FVT_TOL.
-    """
-    grid = DEFAULT_S_GRID
-    v = np.asarray(p0.values, dtype=float)
-    if v.size != gen.dim:
-        raise DomainError(f"p0 has length {v.size}, system dimension is {gen.dim}")
-    if v.min() < 0 or abs(v.sum() - 1.0) > 1e-9:
-        raise DomainError("p0 must be a probability distribution")
-    solved = np.concatenate([x for _, x in solve_resolvents(gen, np.array(grid, dtype=np.longdouble), v)])
-    vectors = [s * x.astype(float) for s, x in zip(grid, solved)]
-    diffs = [float(np.abs(b - a).max()) for a, b in zip(vectors, vectors[1:])]
-    converged = bool(diffs and diffs[-1] <= FVT_TOL)
-    if not converged:
-        warnings.warn(
-            f"final-value limit not converged on the s grid (last diff "
-            f"{diffs[-1] if diffs else float('nan'):.3e})",
-            stacklevel=2,
-        )
-    result = ProbabilityVector(np.clip(vectors[-1], 0.0, None), np.inf,
-                               Provenance.STATIONARY, gen.space)
-    return FvtResult(result, grid, tuple(diffs), converged)

@@ -15,6 +15,8 @@ from retrialsi.cli import main, scenario_from_mapping
 from retrialsi.errors import ConfigError, ModelError, NumericalError
 
 REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((REPO / "demos" / "configs").glob("*.yaml")) + sorted(
+    (REPO / "bench" / "configs").glob("*.yaml"))
 
 WELLMIXED_YAML = """\
 model:
@@ -430,10 +432,23 @@ class TestOtherCommands:
             assert header == ["i", "j", "probability"]
             pi = np.array([float(r[2]) for r in rows])
             assert pi.sum() == pytest.approx(1.0, abs=1e-10)
-            assert any("fvt_max_diff" in c for c in comments)
+            [residual] = [float(c.split(":")[1]) for c in comments
+                          if c.startswith("# stationary_residual:")]
+            assert residual <= 1e-10
             model = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=2.0)
             gen = rs.build_generator(model, rs.rate_function(model))
             assert np.abs(gen.matrix.T @ pi).max() <= 1e-10
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_stationary_header_changes_no_row(self, tmp_path, config):
+        runs = []
+        for flags in ([], ["--no-metadata"]):
+            out = tmp_path / f"out_{len(flags)}"
+            assert main(["stationary", "--config", str(config), "--out", str(out), *flags]) == 0
+            runs.append((out / "stationary.csv").read_bytes().splitlines(keepends=True))
+        with_header, bare = runs
+        assert with_header[0].startswith(b"# ") and not bare[0].startswith(b"#")
+        assert [line for line in with_header if not line.startswith(b"#")] == bare
 
     @pytest.mark.parametrize("theta", [0.0, 2.0])
     def test_stationary_of_an_isolated_tagged_node(self, tmp_path, theta):
@@ -599,11 +614,13 @@ sweep: {thetas: [0.0, 1.0], times: [0.5, 1.0]}
 SUBCOMMANDS = ("solve", "table", "sweep", "timeseries", "stationary", "simulate", "validate-config")
 
 
-def run_probe(tmp_path, *args, config):
+def run_probe(tmp_path, *args, config, metadata=False):
     """Exit code and loaded scipy modules of one CLI run in a fresh interpreter."""
     src = str(Path(rs.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [*args, "--config", str(config), "--out", str(tmp_path / "out"), "--no-metadata"]
+    argv = [*args, "--config", str(config), "--out", str(tmp_path / "out")]
+    if not metadata:
+        argv.append("--no-metadata")
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -647,6 +664,13 @@ class TestScipyLoading:
 
     def test_stationary_loads_no_scipy(self, tmp_path):
         assert self.scipy_modules(tmp_path, "stationary") == set()
+
+    def test_stationary_header_loads_no_scipy(self, tmp_path):
+        # the header's residual max |pi Q| must not go through GeneratorMatrix.matrix
+        lattice = REPO / "bench" / "configs" / "lattice.yaml"
+        assert run_probe(tmp_path, "--block-scipy", "stationary", config=lattice, metadata=True) == set()
+        comments, _, _ = read_report(tmp_path / "out" / "stationary.csv")
+        assert any(c.startswith("# stationary_residual:") for c in comments)
 
     def test_ilt_solve_with_stationary_output_loads_no_scipy(self, tmp_path):
         wellmixed = REPO / "demos" / "configs" / "wellmixed.yaml"  # its outputs include stationary

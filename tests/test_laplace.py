@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 import retrialsi as rs
 from retrialsi import GeneratorMatrix, ModelConfig, laplace
 from retrialsi.errors import DomainError, ModelError, NumericalError
-from retrialsi.laplace import DEFAULT_S_GRID, RESIDUAL_TOL, solve_resolvents
+from retrialsi.laplace import RESIDUAL_TOL, solve_resolvents
 
 SMALL_CONFIGS = [(2, 1), (10, 5), (20, 5), (20, 15)]  # all |state space| <= 100
 
@@ -136,11 +136,6 @@ class TestSolveResolvent:
         assert np.abs(xext.astype(float) - x64).max() <= 1e-12
         applied = s * xext - extended(wellmixed_generator).T @ xext
         assert np.abs(wellmixed_p0.values - applied.astype(float)).max() <= 1e-15
-
-    def test_p0_validation(self, wellmixed_generator, wellmixed_config):
-        bad = rs.ProbabilityVector(np.full(36, 0.5), 0.0, "ilt", wellmixed_config.space)
-        with pytest.raises(DomainError):
-            rs.stationary_fvt(wellmixed_generator, bad)
 
 
 def sweep_cases():
@@ -337,6 +332,17 @@ class TestSweepNearZero:
         x = laplace._sweep(rs.generator.level_rates(gen), np.array([s], dtype=np.longdouble), p0)
         assert np.abs(s * x[:, 0] - pi).max() <= 1e-11
 
+    def test_mass_identity_along_grid(self):
+        # near s = 0 the solution has size 1/s, so the residual and mass checks
+        # there need the longdouble sweep; N = 100 is where double fails
+        shifts = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        for N, c in [(10, 5), (100, 50)]:
+            cfg, gen = make_gen(N, c)
+            p0 = rs.delta_vector(cfg.space, cfg.initial_state)
+            pstar = solve(gen, shifts, p0.values).astype(float)
+            for s, row in zip(shifts, pstar):
+                assert abs(s * row.sum() - 1.0) <= 1e-10, (N, c, s)
+
 
 class TestKillingRateRefused:
     def test_lowered_diagonal(self, wellmixed_generator, wellmixed_p0):
@@ -348,44 +354,5 @@ class TestKillingRateRefused:
         with pytest.raises(ModelError, match="not conservative"):
             rs.transient_via_ilt(gen, wellmixed_p0, [2.0])
         with pytest.raises(ModelError, match="not conservative"):
-            rs.stationary_fvt(gen, wellmixed_p0)
+            rs.stationary_nullspace(gen)
 
-
-class TestStationaryFvt:
-    def test_agrees_with_nullspace(self, wellmixed_generator, wellmixed_p0):
-        result = rs.stationary_fvt(wellmixed_generator, wellmixed_p0)
-        pi = rs.stationary_nullspace(wellmixed_generator)
-        assert result.converged
-        assert np.abs(result.vector.values - pi.values).max() <= 1e-5
-
-    def test_mass_identity_along_grid(self):
-        # near s = 0 the solution has size 1/s, so the residual and mass checks
-        # there need the longdouble sweep; N = 100 is where double fails
-        for N, c in [(10, 5), (100, 50)]:
-            cfg, gen = make_gen(N, c)
-            p0 = rs.delta_vector(cfg.space, cfg.initial_state)
-            pstar = solve(gen, DEFAULT_S_GRID, p0.values).astype(float)
-            for s, row in zip(DEFAULT_S_GRID, pstar):
-                assert abs(s * row.sum() - 1.0) <= 1e-10, (N, c, s)
-
-    def test_tiny_matches_dense_stationary(self, tiny_generator, tiny_config):
-        p0 = rs.delta_vector(tiny_config.space, (0, 0))
-        result = rs.stationary_fvt(tiny_generator, p0)
-        q = tiny_generator.toarray()
-        a = np.vstack([q.T, np.ones(4)])
-        b = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        assert np.abs(result.vector.values - pi).max() <= 1e-5
-
-    def test_successive_diffs_shrink(self, wellmixed_generator, wellmixed_p0):
-        result = rs.stationary_fvt(wellmixed_generator, wellmixed_p0)
-        diffs = result.successive_diffs
-        assert len(diffs) == len(DEFAULT_S_GRID) - 1
-        assert diffs[-1] < diffs[0]
-
-    def test_nonconvergence_warns(self, wellmixed_generator, wellmixed_p0, monkeypatch):
-        monkeypatch.setattr(laplace, "DEFAULT_S_GRID", (1.0, 0.5))
-        with pytest.warns(UserWarning):
-            result = rs.stationary_fvt(wellmixed_generator, wellmixed_p0)
-        assert not result.converged
-        assert result.s_grid == (1.0, 0.5)
