@@ -20,8 +20,10 @@ from .errors import ConfigError, DomainError, GraphFormatError
 
 State = tuple[int, int]
 
-# most nodes a contact graph may have: its n x n adjacency peaks at 442 MB RSS loading n = 4,000
-MAX_GRAPH_NODES = 4_000
+# most nodes a contact graph may have: load_graph of ring_with_hub(1,000,000) (2e6 edges) peaks at
+# 418 MB RSS in 2.8-3.3 s on a 2-core host, the budget of MAX_REPLICAS; the CLI's largest population
+# (MAX_STATES at c = 1) is 150,000, whose ring loads in 0.4-0.6 s at 88 MB
+MAX_GRAPH_NODES = 1_000_000
 
 
 class Mode(str, Enum):
@@ -87,34 +89,38 @@ class StateSpace:
 
 @dataclass(frozen=True, eq=False)
 class ContactGraph:
-    """Undirected simple graph given by a symmetric 0/1 adjacency matrix."""
+    """Undirected simple graph on nodes 0..n-1, held as its distinct edges.
 
-    adjacency: np.ndarray
+    ``edges`` lists node pairs in either order, repeats allowed; they are kept
+    as an int64 (E, 2) array of distinct rows u < v in ascending order, so the
+    graph is symmetric and 0/1 by construction.  Self-loops are rejected.
+    """
+
+    n: int
+    edges: np.ndarray
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = np.array(self.adjacency, dtype=int)  # a copy: freezing must not touch the caller's array
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError(f"adjacency must be square, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ConfigError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise ConfigError("adjacency diagonal must be zero (no self-loops)")
-        if not np.isin(a, (0, 1)).all():
-            raise ConfigError("adjacency entries must be 0 or 1")
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
-        d = a.sum(axis=1)
+        e = np.array(self.edges, dtype=np.int64)  # a copy: freezing must not touch the caller's array
+        e = e.reshape(-1, 2) if e.size == 0 else e
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ConfigError(f"edges must be node pairs, got shape {e.shape}")
+        if np.any(e[:, 0] == e[:, 1]):
+            raise ConfigError("edges must not be self-loops")
+        if e.size and not (0 <= e.min() and e.max() < self.n):
+            raise ConfigError(f"edge endpoints must lie in 0..{self.n - 1}")
+        e.sort(axis=1)
+        keys = np.sort(e[:, 0] * self.n + e[:, 1])  # sorted and diffed: np.unique hashes, ~30x slower
+        e = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.n))
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
+        d = np.bincount(e.ravel(), minlength=self.n)
         d.setflags(write=False)
         object.__setattr__(self, "degrees", d)
 
     @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return len(self.edges)
 
     def degree(self, node: int) -> int:
         if not 0 <= node < self.n:
@@ -128,11 +134,10 @@ def load_graph(text: str, nodes: int | None = None) -> ContactGraph:
     Format: a header line ``n <count>`` followed by one ``u v`` edge per line
     (0-based node ids).  Blank lines and lines starting with ``#`` are
     ignored.  Duplicate edges collapse; self-loops are rejected.  The count
-    must be at most ``MAX_GRAPH_NODES`` and, if ``nodes`` is given, equal it;
-    both are checked before the n x n adjacency is allocated.
+    must be at most ``MAX_GRAPH_NODES`` and, if ``nodes`` is given, equal it.
     """
     n = None
-    adjacency = None
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -152,7 +157,6 @@ def load_graph(text: str, nodes: int | None = None) -> ContactGraph:
                                        line=lineno)
             if nodes is not None and n != nodes:
                 raise GraphFormatError(f"node count {n} differs from the {nodes} nodes expected", line=lineno)
-            adjacency = np.zeros((n, n), dtype=int)
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"expected 'u v', got {line!r}", line=lineno)
@@ -164,18 +168,15 @@ def load_graph(text: str, nodes: int | None = None) -> ContactGraph:
             raise GraphFormatError(f"self-loop at node {u}", line=lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"node id outside 0..{n - 1} in {line!r}", line=lineno)
-        adjacency[u, v] = 1
-        adjacency[v, u] = 1
-    if adjacency is None:
+        pairs.append((u, v))
+    if n is None:
         raise GraphFormatError("empty document: missing 'n <count>' header")
-    return ContactGraph(adjacency)
+    return ContactGraph(n, pairs)
 
 
 def graph_to_text(graph: ContactGraph) -> str:
     """Serialize a graph back to the edge-list format accepted by load_graph."""
-    lines = [f"n {graph.n}"]
-    rows, cols = np.nonzero(np.triu(graph.adjacency))
-    lines += [f"{u} {v}" for u, v in zip(rows.tolist(), cols.tolist())]
+    lines = [f"n {graph.n}"] + [f"{u} {v}" for u, v in graph.edges.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -187,13 +188,10 @@ def ring_with_hub(n: int) -> ContactGraph:
     """
     if n < 4:
         raise ConfigError(f"ring_with_hub needs n >= 4, got {n}")
-    a = np.zeros((n, n), dtype=int)
-    ring = list(range(1, n))
-    for u, v in zip(ring, ring[1:] + ring[:1]):
-        a[u, v] = a[v, u] = 1
-    a[0, 1:] = 1
-    a[1:, 0] = 1
-    return ContactGraph(a)
+    ring = np.arange(1, n)
+    spokes = np.column_stack((np.zeros_like(ring), ring))
+    arcs = np.column_stack((ring, np.roll(ring, -1)))
+    return ContactGraph(n, np.concatenate((spokes, arcs)))
 
 
 @dataclass(frozen=True)

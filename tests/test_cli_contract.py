@@ -7,8 +7,11 @@ extra one.  Huge values go only to leaves whose range the parser bounds: a
 huge rate or time sets the amount of work, and nothing bounds that yet.  Two
 fixed cases give uniformization a huge rate and a long grid of short
 intervals, which ``MAX_POISSON_MEAN`` bounds; others give the parser huge
-state counts, replica counts, grids and graphs, which ``MAX_STATES``,
-``MAX_REPLICAS``, ``MAX_GRID_ENTRIES`` and ``MAX_GRAPH_NODES`` bound.
+state counts, replica counts, grids and graph headers, which ``MAX_STATES``,
+``MAX_REPLICAS``, ``MAX_GRID_ENTRIES`` and ``MAX_GRAPH_NODES`` bound.  A
+contact graph is held as its edges, so a heterogeneous model or ``table``
+within ``MAX_STATES`` loads its graph at once, and a ``table`` with no valid
+``(N, c)`` pair builds no fixture.
 """
 
 import contextlib
@@ -152,29 +155,37 @@ def test_grid_wide_poisson_mean_exits_two_at_once(tmp_path):
     assert "MAX_POISSON_MEAN" in stderr.getvalue() and "Traceback" not in stderr.getvalue()
 
 
+def write_config(tmp_path, model, extra, graph_nodes):
+    """A config of the given model; with ``graph_nodes``, heterogeneous on a header-and-one-edge graph."""
+    config = {"model": {**model, "alpha": 5.0, "mu": 0.4, "theta": 2.0}, "times": [1.0],
+              "outputs": ["moments"], **extra}
+    if graph_nodes is not None:
+        (tmp_path / "graph.txt").write_text(f"n {graph_nodes}\n0 1\n")
+        config["model"].update(mode="heterogeneous", tagged_node=2)
+        config["graph_path"] = "graph.txt"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return path
+
+
 @pytest.mark.parametrize("model, extra, graph_nodes, key", [
     # 7.28 TiB of replica state
     ({"N": 10, "c": 5}, {"solver": {"replicas": 10 ** 12}}, None, "solver.replicas"),
     # 18.6 GiB of transitions
     ({"N": 100_000, "c": 50_000}, {}, None, "model"),
     ({"N": 10, "c": 5}, {"table": {"N": [10, 100_000], "c": [5, 50_000]}}, None, "table"),
-    # an n x n adjacency of 8 TB, and one of 80 GB for a model of only 200,000 states
-    ({"N": 10, "c": 5}, {}, 1_000_000, "MAX_GRAPH_NODES"),
-    ({"N": 100_000, "c": 99_999}, {}, 100_000, "MAX_GRAPH_NODES"),
+    # a header alone, one node above the bound: refused before any edge is read
+    ({"N": 10, "c": 5}, {}, 1_000_001, "MAX_GRAPH_NODES"),
+    # a heterogeneous model one node above the CLI's largest population, on a graph that would load
+    ({"N": 150_001, "c": 1}, {}, 150_001, "model"),
     ({"N": 10, "c": 5}, {}, 40, "differs"),
-    ({"N": 10, "c": 5}, {"table": {"N": [100_000], "c": [99_999]}}, 10, "table.N"),
+    # a heterogeneous table's ring_with_hub(N) fixture is held to MAX_STATES like any table pair
+    ({"N": 10, "c": 5}, {"table": {"N": [150_001], "c": [1]}}, 10, "table"),
     # 37.4 GiB of inversion accumulator: 10,000 times x 251,001 states, each within its own bound
     ({"N": 1000, "c": 500}, {"times": {"start": 0.01, "stop": 100, "step": 0.01}}, None, "times"),
 ])
 def test_huge_sizes_exit_two_at_once(tmp_path, model, extra, graph_nodes, key):
-    config = {"model": {**model, "alpha": 5.0, "mu": 0.4, "theta": 2.0}, "times": [1.0],
-              "outputs": ["moments"], **extra}
-    if graph_nodes is not None:  # a header alone: the check must come before the adjacency is allocated
-        (tmp_path / "graph.txt").write_text(f"n {graph_nodes}\n0 1\n")
-        config["model"].update(mode="heterogeneous", tagged_node=2)
-        config["graph_path"] = "graph.txt"
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(config))
+    path = write_config(tmp_path, model, extra, graph_nodes)
     for command in ("validate-config", "solve", "table"):
         stderr = io.StringIO()
         start = time.perf_counter()
@@ -184,3 +195,24 @@ def test_huge_sizes_exit_two_at_once(tmp_path, model, extra, graph_nodes, key):
         assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_CONFIG, command
         assert key in stderr.getvalue() and "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize("model, extra, graph_nodes", [
+    # 200,000 states on a graph of 100,000 nodes
+    ({"N": 100_000, "c": 99_999}, {}, 100_000),
+    # a fixture of 100,000 nodes for a table pair of 200,000 states
+    ({"N": 10, "c": 5}, {"table": {"N": [100_000], "c": [99_999]}}, 10),
+])
+def test_heterogeneous_sizes_within_max_states_validate_at_once(tmp_path, model, extra, graph_nodes):
+    path = write_config(tmp_path, model, extra, graph_nodes)
+    start = time.perf_counter()
+    assert run(["validate-config", "--config", str(path)]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0
+
+
+def test_heterogeneous_table_without_valid_pairs_builds_no_fixture(tmp_path, monkeypatch):
+    path = write_config(tmp_path, {"N": 10, "c": 5}, {"table": {"N": [HUGE], "c": [HUGE]}}, 10)
+    monkeypatch.setattr(cli, "ring_with_hub", lambda n: pytest.fail(f"built ring_with_hub({n})"))
+    start = time.perf_counter()
+    assert run(["table", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,7 @@ from retrialsi.errors import ConfigError, DomainError, GraphFormatError
 
 
 def star_graph(n):
-    a = np.zeros((n, n), dtype=int)
-    a[0, 1:] = 1
-    a[1:, 0] = 1
-    return ContactGraph(a)
+    return ContactGraph(n, [(0, v) for v in range(1, n)])
 
 
 class TestStateSpace:
@@ -76,19 +75,35 @@ class TestContactGraph:
             assert g.degrees.sum() == 2 * g.edge_count
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ContactGraph(np.array([[0, 1], [0, 0]]))  # asymmetric
-        with pytest.raises(ConfigError):
-            ContactGraph(np.array([[1, 0], [0, 0]]))  # self-loop
-        with pytest.raises(ConfigError):
-            ContactGraph(np.array([[0, 2], [2, 0]]))  # weight
+        with pytest.raises(ConfigError, match="self-loop"):
+            ContactGraph(3, [(0, 1), (2, 2)])
+        with pytest.raises(ConfigError, match="0..2"):
+            ContactGraph(3, [(0, 1), (1, 3)])
+        with pytest.raises(ConfigError, match="0..2"):
+            ContactGraph(3, [(-1, 1)])
+        with pytest.raises(ConfigError, match="pairs"):
+            ContactGraph(3, [(0, 1, 2)])
+
+    def test_reversed_and_duplicate_pairs_collapse(self):
+        g = ContactGraph(4, [(2, 1), (0, 3), (1, 2), (3, 0), (1, 2)])
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [[0, 3], [1, 2]]
+        assert g.edge_count == 2
+        assert g.degrees.tolist() == [1, 1, 1, 1]
+
+    def test_isolated_node_has_degree_zero(self):
+        g = ContactGraph(4, [(0, 1)])
+        assert g.degree(3) == 0 and g.degrees.tolist() == [1, 1, 0, 0]
+        empty = ContactGraph(2, [])
+        assert empty.edges.shape == (0, 2) and empty.degrees.tolist() == [0, 0]
 
     def test_leaves_caller_array_writable(self):
-        adjacency = np.array([[0, 1], [1, 0]])
-        g = ContactGraph(adjacency)
-        assert adjacency.flags.writeable and not g.adjacency.flags.writeable
-        adjacency[:] = 0
-        assert g.adjacency[0, 1] == 1
+        edges = np.array([[1, 0], [1, 2]])
+        g = ContactGraph(3, edges)
+        assert edges.flags.writeable
+        assert not g.edges.flags.writeable and not g.degrees.flags.writeable
+        edges[:] = 0
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 class TestLoadGraph:
@@ -126,7 +141,12 @@ class TestLoadGraph:
     def test_roundtrip(self):
         g = rs.ring_with_hub(10)
         again = rs.load_graph(rs.graph_to_text(g))
-        assert np.array_equal(g.adjacency, again.adjacency)
+        assert again.n == g.n and np.array_equal(g.edges, again.edges)
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_shipped_fixtures_are_the_writer_output(self, n):
+        path = Path(__file__).resolve().parents[1] / "graphs" / f"ring_hub_{n}.txt"
+        assert path.read_bytes() == rs.graph_to_text(rs.ring_with_hub(n)).encode()
 
 
 class TestRingWithHub:
@@ -200,10 +220,8 @@ class TestHeterogeneousRate:
         assert got == pytest.approx(81.0 / 10.0)  # external term vanished
 
     def test_isolated_node_rate_zero(self):
-        a = np.zeros((10, 10), dtype=int)
-        a[1, 2] = a[2, 1] = 1
         cfg = self.het_config(0)
-        assert rs.arrival_rate_het(cfg, ContactGraph(a), 2, 3) == 0.0
+        assert rs.arrival_rate_het(cfg, ContactGraph(10, [(1, 2)]), 2, 3) == 0.0
 
     def test_full_neighbor_dominates_mean_field(self):
         graph = rs.ring_with_hub(10)
