@@ -51,7 +51,6 @@ from .model import (
 from .transient import (
     MonteCarloResult,
     ProbabilityVector,
-    Provenance,
     Trajectory,
     TransientSolution,
     delta_vector,
@@ -80,7 +79,6 @@ __all__ = [
     "MonteCarloResult",
     "NumericalError",
     "ProbabilityVector",
-    "Provenance",
     "RetrialSIError",
     "StateSpace",
     "StehfestWeights",

@@ -43,7 +43,6 @@ from .reference import REFERENCE_FIRST_MOMENTS, REFERENCE_TOLERANCE
 from .transient import (
     EPS_MAX,
     MIN_REPLICAS,
-    Provenance,
     TransientSolution,
     delta_vector,
     monte_carlo_estimate,
@@ -330,7 +329,7 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings,
     if solver.method == "monte_carlo":  # samples from the transition table, not from Q
         return monte_carlo_estimate(model, rate, times, solver.replicas, solver.seed).solution
     gen = build_generator(model, rate)
-    p0 = delta_vector(model.space, model.initial_state, Provenance.ILT)
+    p0 = delta_vector(model.space, model.initial_state)
     if solver.method == "uniformization":
         return transient_grid(gen, p0, times, eps=solver.eps)
 
@@ -423,11 +422,13 @@ def _write_marginals(scenario, sol, out_dir, meta, prefix="marginals"):
     ]
 
 
+def _first_moments(sol: TransientSolution):
+    """(t, E[I], E[R]) at each time of ``sol``."""
+    return [(t, moment_recovering(vec), moment_orbit(vec)) for t, vec in zip(sol.times.tolist(), sol.vectors)]
+
+
 def _write_moments(scenario, sol, out_dir, meta, name="moments.csv"):
-    rows = [
-        (_fmt(t), _fmt(moment_recovering(vec)), _fmt(moment_orbit(vec)))
-        for t, vec in zip(sol.times, sol.vectors)
-    ]
+    rows = [tuple(map(_fmt, moments)) for moments in _first_moments(sol)]
     return [_write_csv(out_dir / name, ("t", "E_I", "E_R"), rows, meta)]
 
 
@@ -456,9 +457,8 @@ def _table_cells(scenario: ScenarioConfig):
         graph = ring_with_hub(n) if heterogeneous and valid_c else None
         for c in valid_c:
             model = dataclasses.replace(scenario.model, N=n, c=c, initial_state=(0, 0))
-            sol = _solve_grid(model, graph, scenario.solver, times)
-            for t, vec in zip(sol.times, sol.vectors):
-                cells[(c, float(t), n)] = (moment_recovering(vec), moment_orbit(vec))
+            for t, e_i, e_r in _first_moments(_solve_grid(model, graph, scenario.solver, times)):
+                cells[(c, t, n)] = (e_i, e_r)
     return cells
 
 
@@ -525,9 +525,7 @@ def _write_sweep(scenario, out_dir, meta):
         for th in thetas:
             model = dataclasses.replace(scenario.model, theta=th, mode=mode)
             sol = _solve_grid(model, graph, scenario.solver, times)
-            for t, vec in zip(sol.times, sol.vectors):
-                rows.append((_fmt(th), _fmt(t),
-                             _fmt(moment_recovering(vec)), _fmt(moment_orbit(vec))))
+            rows += [(_fmt(th), *map(_fmt, moments)) for moments in _first_moments(sol)]
         paths.append(_write_csv(out_dir / name, ("theta", "t", "E_I", "E_R"), rows, meta))
     return paths
 

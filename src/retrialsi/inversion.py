@@ -28,7 +28,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .generator import GeneratorMatrix
 from .laplace import solve_resolvents
-from .transient import ProbabilityVector, Provenance, TransientSolution, time_grid
+from .transient import ProbabilityVector, TransientSolution, time_grid
 
 K_MIN = 2
 K_MAX = 20
@@ -57,7 +57,6 @@ class StehfestWeights:
     ``values_extended`` carries them split to extended precision.
     """
 
-    order: int
     values: np.ndarray
     values_extended: np.ndarray
 
@@ -90,7 +89,7 @@ def stehfest_coefficients(order: int = DEFAULT_ORDER) -> StehfestWeights:
     # exact remainder of each weight's double rounding
     remainders = np.array([float(v - Fraction(hi)) for v, hi in zip(exact, values.tolist())])
     extended = values.astype(np.longdouble) + remainders.astype(np.longdouble)
-    return StehfestWeights(order, values, extended)
+    return StehfestWeights(values, extended)
 
 
 def invert_at(transform, t: float, weights: StehfestWeights) -> float:
@@ -172,6 +171,6 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
         "raw_sum_deviation": (totals - 1.0).tolist(),
         "band_excursion": excursion.tolist(),
     }
-    vectors = [ProbabilityVector(row, p0.t + t, Provenance.ILT, gen.space)
+    vectors = [ProbabilityVector(row, p0.t + t, gen.space)
                for t, row in zip(grid.tolist(), raw)]
     return TransientSolution(grid, vectors, meta)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, ModelError, NumericalError
 from .generator import GeneratorMatrix, level_rates, transposed_product
-from .transient import ProbabilityVector, Provenance
+from .transient import ProbabilityVector
 
 RESIDUAL_TOL = 1e-10  # bound on max |(s I - Q)^T x - rhs| of every resolvent solve, in longdouble
 #: Largest dim * width of one sweep; more shifts than that run in chunks.  The
@@ -214,4 +214,4 @@ def stationary_nullspace(gen: GeneratorMatrix) -> ProbabilityVector:
         else:
             x = _sweep(rates, zero, b)
         pi = _checked(qt, zero, b, x / x.sum())
-    return ProbabilityVector(pi[:, 0], np.inf, Provenance.STATIONARY, gen.space)
+    return ProbabilityVector(pi[:, 0], np.inf, gen.space)

@@ -101,6 +101,8 @@ class ContactGraph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ConfigError(f"node count must be an integer >= 1, got {self.n!r}")
         e = np.array(self.edges, dtype=np.int64)  # a copy: freezing must not touch the caller's array
         e = e.reshape(-1, 2) if e.size == 0 else e
         if e.ndim != 2 or e.shape[1] != 2:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -29,23 +28,17 @@ MIN_REPLICAS = 1000  # fewest replicas a Monte Carlo estimate accepts
 MAX_POISSON_MEAN = 10 ** 6  # largest Lambda * t uniformization accepts, ~1e3 in the shipped configs
 
 
-class Provenance(str, Enum):
-    ILT = "ilt"
-    UNIFORMIZATION = "uniformization"
-    MONTE_CARLO = "monte_carlo"
-    STATIONARY = "stationary"
-
-
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """Distribution over the state space at one time point."""
+    """Distribution over the state space at one time point; ``t`` is inf for a stationary one."""
 
     values: np.ndarray
     t: float
-    provenance: Provenance
     space: StateSpace | None = None
 
     def __post_init__(self):
+        if self.space is not None and not isinstance(self.space, StateSpace):
+            raise DomainError(f"space must be a StateSpace or None, got {self.space!r}")
         v = np.array(self.values, dtype=float)  # a copy: freezing must not touch the caller's array
         if v.ndim != 1:
             raise DomainError(f"probability vector must be 1-d, got shape {v.shape}")
@@ -55,7 +48,6 @@ class ProbabilityVector:
             )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "provenance", Provenance(self.provenance))
 
     @property
     def total(self) -> float:
@@ -75,15 +67,14 @@ class ProbabilityVector:
         zeroing can bias moments by more than the excursions themselves.
         """
         values = np.clip(self.values, 0.0, 1.0)
-        return ProbabilityVector(values / values.sum(), self.t, self.provenance, self.space)
+        return ProbabilityVector(values / values.sum(), self.t, self.space)
 
 
-def delta_vector(space: StateSpace, state: State,
-                 provenance: Provenance = Provenance.UNIFORMIZATION) -> ProbabilityVector:
+def delta_vector(space: StateSpace, state: State) -> ProbabilityVector:
     """Point mass at ``state`` at time 0."""
     values = np.zeros(space.size)
     values[space.index(*state)] = 1.0
-    return ProbabilityVector(values, 0.0, provenance, space)
+    return ProbabilityVector(values, 0.0, space)
 
 
 def time_grid(times) -> np.ndarray:
@@ -105,7 +96,7 @@ def time_grid(times) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TransientSolution:
-    """One probability vector per grid time, plus solver metadata."""
+    """One probability vector per grid time, plus solver metadata; ``metadata["method"]`` names the route."""
 
     times: np.ndarray
     vectors: list[ProbabilityVector]
@@ -210,7 +201,7 @@ def _uniformize_grid(gen: GeneratorMatrix, p0: ProbabilityVector, grid: np.ndarr
             acc += np.multiply(w, step(), out=term)
         v[:] = acc
         out_t, prev_t, products = out_t + (t - prev_t), t, products + weights.size - 1
-        vectors.append(ProbabilityVector(acc, out_t, Provenance.UNIFORMIZATION, p0.space or gen.space))
+        vectors.append(ProbabilityVector(acc, out_t, p0.space or gen.space))
     return vectors, lam, products
 
 
@@ -373,7 +364,7 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
             events += live.size
         start = t_q
         counts = np.bincount(state, minlength=space.size).astype(float)
-        vectors.append(ProbabilityVector(counts / replicas, float(t_q), Provenance.MONTE_CARLO, space))
+        vectors.append(ProbabilityVector(counts / replicas, float(t_q), space))
     meta = {
         "method": "monte_carlo",
         "replicas": replicas,

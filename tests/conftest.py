@@ -86,7 +86,7 @@ def assert_step_matches_scipy(gen, v):
     lam = float(gen.exit_rates().max())
     expected = (sparse.eye(gen.dim, format="csr") + gen.matrix / lam).T @ v
     with mock.patch.object(transient, "_poisson_weights", return_value=np.array([0.0, 1.0])):
-        step = rs.uniformize(gen, rs.ProbabilityVector(v, 0.0, "uniformization"), 1.0).values
+        step = rs.uniformize(gen, rs.ProbabilityVector(v, 0.0), 1.0).values
     assert np.array_equal(step, expected)
     assert np.array_equal(np.signbit(step), np.signbit(expected))
 

@@ -117,6 +117,15 @@ class TestSolve:
         # the inverse transform needs t > 0; t = 0 is the initial distribution
         self.assert_methods_agree(tmp_path, "[0.0]")
 
+    @pytest.mark.parametrize("method", cli.METHODS)
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.5]], ids=["t0_only", "t0_and_later"])
+    def test_solution_records_its_route(self, method, times):
+        # metadata["method"] is the only record of the route, also for a grid that runs no inversion
+        model = rs.ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0)
+        solver = cli.SolverSettings(method=method, replicas=1000)
+        sol = cli._solve_grid(model, None, solver, np.array(times))
+        assert sol.metadata["method"] == method
+
     def test_method_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, method="ilt")
         out = tmp_path / "out"

@@ -167,7 +167,7 @@ class TestTransientViaIlt:
     def test_metadata(self, wellmixed_generator, wellmixed_p0):
         sol = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [1.0], order=16)
         assert sol.metadata["order"] == 16
-        assert sol.vectors[0].provenance is rs.Provenance.ILT
+        assert sol.metadata["method"] == "ilt"
 
     def test_extended_operator_built_once(self, wellmixed_config, wellmixed_p0, monkeypatch):
         # the K = 20 resolvent systems of one time point share one longdouble Q

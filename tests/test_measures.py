@@ -7,7 +7,7 @@ from retrialsi.errors import DomainError
 
 
 def vector(values, space, t=0.0):
-    return ProbabilityVector(np.asarray(values, dtype=float), t, "uniformization", space)
+    return ProbabilityVector(np.asarray(values, dtype=float), t, space)
 
 
 class TestMarginals:
@@ -33,7 +33,7 @@ class TestMarginals:
 
     def test_requires_space(self):
         with pytest.raises(DomainError):
-            rs.marginal_recovering(ProbabilityVector(np.ones(4) / 4, 0.0, "ilt"))
+            rs.marginal_recovering(ProbabilityVector(np.ones(4) / 4, 0.0))
 
 
 class TestMoments:

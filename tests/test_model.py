@@ -84,6 +84,11 @@ class TestContactGraph:
         with pytest.raises(ConfigError, match="pairs"):
             ContactGraph(3, [(0, 1, 2)])
 
+    @pytest.mark.parametrize("n", [-1, 0, 2.5, True])
+    def test_node_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ConfigError, match="node count"):
+            ContactGraph(n, [])
+
     def test_reversed_and_duplicate_pairs_collapse(self):
         g = ContactGraph(4, [(2, 1), (0, 3), (1, 2), (3, 0), (1, 2)])
         assert g.edges.dtype == np.int64

@@ -14,10 +14,7 @@ ILT_BOUND = 1e-4  # the ILT-vs-oracle bound of the verification grid
 
 @pytest.fixture(scope="module", params=[(6, 3), (10, 5)], ids=["16_states", "36_states"])
 def exact(request):
-    """(generator, p0, p0 exp(Q T) rounded to double) at the paper's rates.
-
-    The exact vector carries the uniformization provenance, the oracle's route.
-    """
+    """(generator, p0, p0 exp(Q T) rounded to double) at the paper's rates."""
     N, c = request.param
     cfg = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=2.0)
     gen = rs.build_generator(cfg, rs.rate_function(cfg))
@@ -27,7 +24,7 @@ def exact(request):
         propagator = mpmath.expm(q * T)
         row = cfg.space.index(0, 0)
         values = np.array([float(propagator[row, k]) for k in range(gen.dim)])
-    return gen, p0, rs.ProbabilityVector(values, T, rs.Provenance.UNIFORMIZATION, cfg.space)
+    return gen, p0, rs.ProbabilityVector(values, T, cfg.space)
 
 
 def test_uniformization_within_its_total_variation_bound(exact):

@@ -78,8 +78,7 @@ def test_grid_equals_chained_uniformize(model, times, start):
     # one stepping loop: a grid is the chain of its intervals, bit for bit, timestamps included
     cfg, graph = model
     gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
-    previous = rs.ProbabilityVector(rs.delta_vector(cfg.space, cfg.initial_state).values, start,
-                                    "uniformization", cfg.space)
+    previous = rs.ProbabilityVector(rs.delta_vector(cfg.space, cfg.initial_state).values, start, cfg.space)
     sol = rs.transient_grid(gen, previous, times)
     for vector, t, before in zip(sol.vectors, times, [0.0, *times]):
         previous = rs.uniformize(gen, previous, t - before)

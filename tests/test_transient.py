@@ -21,7 +21,7 @@ class TestUniformize:
         np.testing.assert_array_equal(out.values, wellmixed_p0.values)
 
     def test_two_state_closed_form(self, two_state_toy):
-        p0 = rs.ProbabilityVector([1.0, 0.0], 0.0, "uniformization")
+        p0 = rs.ProbabilityVector([1.0, 0.0], 0.0)
         out = rs.uniformize(two_state_toy, p0, 1.0)
         expected = [(1 + math.exp(-2)) / 2, (1 - math.exp(-2)) / 2]
         np.testing.assert_allclose(out.values, expected, atol=1e-10)
@@ -109,7 +109,7 @@ class TestTransientGrid:
     @pytest.mark.parametrize("n", [10, 66, 100])
     def test_p0_of_another_dimension_rejected(self, wellmixed_generator, n):
         # the 36-state chain: 10 entries died with IndexError, 66 and 100 with a broadcast ValueError
-        p0 = rs.ProbabilityVector(np.full(n, 1.0 / n), 0.0, "uniformization")
+        p0 = rs.ProbabilityVector(np.full(n, 1.0 / n), 0.0)
         with pytest.raises(DomainError, match="dimension is 36"):
             rs.uniformize(wellmixed_generator, p0, 1.0)
         with pytest.raises(DomainError, match="dimension is 36"):
@@ -316,6 +316,7 @@ class TestMonteCarlo:
         assert len(mc.standard_errors) == 2
         assert mc.standard_errors[0].shape == (wellmixed_config.space.size,)
         assert mc.solution.metadata["rng"] == "pcg64"
+        assert mc.solution.metadata["method"] == "monte_carlo"
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
@@ -384,13 +385,15 @@ class TestContainers:
 
     def test_probability_vector_guards(self, wellmixed_config):
         with pytest.raises(DomainError):
-            rs.ProbabilityVector(np.zeros((2, 2)), 0.0, "ilt")
+            rs.ProbabilityVector(np.zeros((2, 2)), 0.0)
         with pytest.raises(DomainError):
-            rs.ProbabilityVector(np.zeros(7), 0.0, "ilt", wellmixed_config.space)
+            rs.ProbabilityVector(np.zeros(7), 0.0, wellmixed_config.space)
+        with pytest.raises(DomainError, match="StateSpace"):  # a route label where the lattice goes
+            rs.ProbabilityVector(np.zeros(36), 0.0, "ilt")
 
     def test_probability_vector_leaves_caller_array_writable(self, wellmixed_config):
         values = np.full(36, 1.0 / 36)
-        vec = rs.ProbabilityVector(values, 0.0, "ilt", wellmixed_config.space)
+        vec = rs.ProbabilityVector(values, 0.0, wellmixed_config.space)
         assert values.flags.writeable and not vec.values.flags.writeable
         values[0] = 1.0  # the vector holds its own copy
         assert vec.values[0] == pytest.approx(1.0 / 36)
@@ -414,7 +417,7 @@ class TestContainers:
         values = np.full(36, 1.0 / 36)
         values[0] = -1e-5
         values[1] += 1e-5 + 1.0 / 36
-        vec = rs.ProbabilityVector(values / values.sum(), 1.0, "ilt", wellmixed_config.space)
+        vec = rs.ProbabilityVector(values / values.sum(), 1.0, wellmixed_config.space)
         clean = vec.clipped()
         assert clean.values.min() >= 0.0
         assert clean.total == pytest.approx(1.0)
