@@ -24,10 +24,12 @@ full = rs.ModelConfig(**base, mode="heterogeneous", tagged_node=2,
 
 print("\narrival rates seen at a few states (tagged node 2, degree 3):")
 print(f"{'state':>8} {'well-mixed':>11} {'mean-field':>11} {'full-neighbor':>14}")
+hom_rates = rs.rate_function(hom)  # one rate per state, in state-index order
+mean_field_rates = rs.rate_function(mean_field, graph)
+full_rates = rs.rate_function(full, graph)
 for state in [(0, 0), (2, 1), (5, 2), (5, 5)]:
-    print(f"{str(state):>8} {rs.arrival_rate_hom(hom, *state):11.4f} "
-          f"{rs.arrival_rate_het(mean_field, graph, *state):11.4f} "
-          f"{rs.arrival_rate_het(full, graph, *state):14.4f}")
+    k = hom.space.index(*state)
+    print(f"{str(state):>8} {hom_rates[k]:11.4f} {mean_field_rates[k]:11.4f} {full_rates[k]:14.4f}")
 
 grid = np.round(np.arange(0.5, 40.01, 0.5), 10)
 print(f"\n{'model':>14} {'E[I](2)':>9} {'E[I](14)':>9} {'E[R](14)':>9} {'1%-settle':>10}")

@@ -12,10 +12,10 @@ import numpy as np
 import retrialsi as rs
 
 cfg = rs.ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0)
-rate = rs.rate_function(cfg)
-gen = rs.build_generator(cfg, rate)
+arrival = rs.rate_function(cfg)  # the arrival rate of every state
+gen = rs.build_generator(cfg, arrival)
 
-trajectory = rs.simulate_gillespie(cfg, rate, horizon=4.0, seed=7)
+trajectory = rs.simulate_gillespie(cfg, arrival, horizon=4.0, seed=7)
 print(f"one path (seed 7, horizon 4, rng {trajectory.rng}): {len(trajectory) - 1} events")
 labels = {(1, 0): "arrival -> unit", (-1, 0): "recovery", (1, -1): "retrial success",
           (0, 1): "arrival -> orbit"}
@@ -27,7 +27,7 @@ if len(trajectory) > 12:
 
 replicas = 50_000
 times = [1.0, 3.0, 8.0]
-mc = rs.monte_carlo_estimate(cfg, rate, times, replicas, seed=2026)
+mc = rs.monte_carlo_estimate(cfg, arrival, times, replicas, seed=2026)
 p0 = rs.delta_vector(cfg.space, cfg.initial_state)
 
 print(f"\n{replicas} replicas vs uniformization:")

@@ -41,8 +41,6 @@ from .model import (
     Mode,
     ModelConfig,
     StateSpace,
-    arrival_rate_het,
-    arrival_rate_hom,
     graph_to_text,
     load_graph,
     rate_function,
@@ -85,8 +83,6 @@ __all__ = [
     "Trajectory",
     "TransientSolution",
     "ValidationReport",
-    "arrival_rate_het",
-    "arrival_rate_hom",
     "build_generator",
     "delta_vector",
     "graph_to_text",

@@ -323,22 +323,25 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings,
 
     A leading t = 0 is served directly by the initial distribution (the
     inverse transform needs t > 0; the other methods accept 0 anyway), so a
-    grid of t = 0 alone runs no inversion.
+    grid of t = 0 alone runs no inversion.  Its entries in the inversion's
+    per-time metadata lists are 0.0, so each list has one entry per time.
     """
-    rate = rate_function(model, graph)
+    arrival = rate_function(model, graph)
     if solver.method == "monte_carlo":  # samples from the transition table, not from Q
-        return monte_carlo_estimate(model, rate, times, solver.replicas, solver.seed).solution
-    gen = build_generator(model, rate)
+        return monte_carlo_estimate(model, arrival, times, solver.replicas, solver.seed).solution
+    gen = build_generator(model, arrival)
     p0 = delta_vector(model.space, model.initial_state)
     if solver.method == "uniformization":
         return transient_grid(gen, p0, times, eps=solver.eps)
 
     positive = times[times > 0]
     vectors = [p0] * (times.size - positive.size)  # the t = 0 row, if any
-    meta = {"method": "ilt", "order": solver.order}
+    meta = {"method": "ilt", "order": solver.order, "abscissae": 0, "raw_sum_deviation": [], "band_excursion": []}
     if positive.size:
         sol = transient_via_ilt(gen, p0, positive, order=solver.order)
         vectors, meta = vectors + sol.vectors, sol.metadata
+    for key in ("raw_sum_deviation", "band_excursion"):
+        meta[key] = [0.0] * (times.size - positive.size) + meta[key]
     return TransientSolution(times, vectors, meta)
 
 

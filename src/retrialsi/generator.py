@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ModelError
-from .model import ModelConfig, RateFunction, StateSpace
+from .model import ModelConfig, StateSpace
 
 DENSE_LIMIT = 10_000
 
@@ -187,9 +187,6 @@ class GeneratorMatrix:
         off = rows != q.indices
         return _conservative(rows[off], q.indices[off], q.data[off].astype(np.longdouble), self.dim)
 
-    def row_sums(self) -> np.ndarray:
-        return self.csr.row_sums()
-
     def exit_rates(self) -> np.ndarray:
         """Total exit rate per state (= minus the diagonal)."""
         return -self.csr.diagonal()
@@ -197,13 +194,6 @@ class GeneratorMatrix:
     def triplets(self):
         """(rows, cols, rates) of all stored entries, diagonal included."""
         return self.csr.rows(), self.csr.indices, self.csr.data
-
-    def write_triplets(self, fileobj) -> None:
-        """Dump the matrix as ``row,col,rate`` CSV lines for external inspection."""
-        fileobj.write("row,col,rate\n")
-        rows, cols, vals = self.triplets()
-        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            fileobj.write(f"{r},{c},{v!r}\n")
 
 
 def _moves(space: StateSpace):
@@ -229,27 +219,30 @@ def _moves(space: StateSpace):
     return src, src + offset[family], family
 
 
-def transitions(cfg: ModelConfig, rate_fn: RateFunction):
+def transitions(cfg: ModelConfig, arrival: np.ndarray):
     """Every move of the chain with its rate, as arrays ``(src, dst, rate)``.
 
     The moves are those of :func:`_moves`, in the same order.  A move on the
     stencil is listed even when its rate is 0 (theta = 0, or an arrival with
     i + j = N), so the stored pattern of Q does not depend on the rates.
-    ``rate_fn`` is called once per state, in index order.
+    ``arrival`` holds the arrival rate of every state in index order, as
+    :func:`.model.rate_function` returns it.
     """
     space = cfg.space
+    lam = np.asarray(arrival, dtype=float)
+    if lam.shape != (space.size,):
+        raise ModelError(f"arrival rates have shape {lam.shape}, the state space needs ({space.size},)")
     i, j = np.divmod(np.arange(space.size), space.width)
-    lam = np.array([rate_fn(a, b) for a, b in zip(i.tolist(), j.tolist())], dtype=float)
-    negative = np.flatnonzero(lam < 0)
-    if negative.size:
-        k = negative[0]
-        raise ModelError(f"rate function returned {lam[k]} < 0 at state ({i[k]}, {j[k]})")
+    invalid = np.flatnonzero(~(lam >= 0))  # negative or NaN
+    if invalid.size:
+        k = invalid[0]
+        raise ModelError(f"arrival rate {lam[k]} at state ({i[k]}, {j[k]}) is not >= 0")
     src, dst, family = _moves(space)
     per_family = np.stack([lam, i * cfg.mu, j * cfg.theta, lam])
     return src, dst, per_family[family, src]
 
 
-def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
+def build_generator(cfg: ModelConfig, arrival: np.ndarray) -> GeneratorMatrix:
     """Assemble Q over the linear state ordering from the transition table.
 
     The diagonal is minus the off-diagonal row sums, each reduced in column
@@ -257,7 +250,7 @@ def build_generator(cfg: ModelConfig, rate_fn: RateFunction) -> GeneratorMatrix:
     assembly plus ``diags(-off.sum(axis=1))`` bit for bit.  Zero entries are
     not stored.
     """
-    return GeneratorMatrix(_conservative(*transitions(cfg, rate_fn), cfg.space.size), cfg.space)
+    return GeneratorMatrix(_conservative(*transitions(cfg, arrival), cfg.space.size), cfg.space)
 
 
 ROW_SUM_TOL = 1e-12  # bound on |row sum| of a valid Q, relative to max(1, largest exit rate)
@@ -295,7 +288,7 @@ class ValidationReport:
 def _validate(gen: GeneratorMatrix):
     """:func:`validate_generator`'s report, and the family (numbered as in :func:`_moves`) of
     each stored entry of Q: -1 off the stencil, the diagonal included; None without a state space."""
-    sums = gen.row_sums()
+    sums = gen.csr.row_sums()
     tol = ROW_SUM_TOL * max(1.0, float(np.abs(gen.exit_rates()).max(initial=0.0)))
     rows, cols, vals = gen.triplets()
     off_diagonal = rows != cols

@@ -1,4 +1,4 @@
-"""Model configuration, state space, contact graphs and transition-rate functions.
+"""Model configuration, state space, contact graphs and arrival rates.
 
 The system tracks a closed population of ``N`` nodes.  Infected nodes occupy
 one of ``c`` recovery units; when all units are busy a newly infected node
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -236,48 +235,29 @@ class ModelConfig:
         return StateSpace(self.N, self.c)
 
 
-RateFunction = Callable[[int, int], float]
+def rate_function(cfg: ModelConfig, graph: ContactGraph | None = None) -> np.ndarray:
+    """Arrival rate lambda(i, j) of every state of ``cfg.space``, in index order.
 
-
-def arrival_rate_hom(cfg: ModelConfig, i: int, j: int) -> float:
-    """Well-mixed arrival rate alpha * (N - i - j) / N; zero iff everyone is infected."""
-    if not cfg.space.contains(i, j):
-        raise DomainError(f"state ({i}, {j}) outside the (N={cfg.N}, c={cfg.c}) lattice")
-    return cfg.alpha * (cfg.N - i - j) / cfg.N
-
-
-def arrival_rate_het(cfg: ModelConfig, graph: ContactGraph, i: int, j: int) -> float:
-    """Arrival rate seen by the tagged node under degree-dependent contacts.
-
-    External pressure scales the population rate by the tagged node's degree:
-    (alpha * d_k / N) * (N - i - j) / N.  Internal pressure sums d_k / N over
-    the node's neighbors (d_k^2 / N in full) and is closed over count states
-    per ``cfg.closure``.
+    Well-mixed, alpha * (N - i - j) / N: zero iff everyone is infected.  With
+    heterogeneous contacts, the rate seen by the tagged node k: external
+    pressure scales the population rate by its degree, (alpha * d_k / N) *
+    (N - i - j) / N, and internal pressure sums d_k / N over its neighbors
+    (d_k^2 / N in full), closed over count states per ``cfg.closure``.
     """
-    if cfg.mode is not Mode.HETEROGENEOUS:
-        raise ConfigError("arrival_rate_het requires mode=heterogeneous")
+    N = cfg.N
+    i, j = np.divmod(np.arange(cfg.space.size), cfg.space.width)
+    if cfg.mode is Mode.HOMOGENEOUS:
+        return cfg.alpha * (N - i - j) / N
     if graph is None:
         raise ConfigError("heterogeneous mode requires a contact graph")
-    if graph.n != cfg.N:
-        raise ConfigError(f"graph has {graph.n} nodes but config N={cfg.N}")
+    if graph.n != N:
+        raise ConfigError(f"graph has {graph.n} nodes but config N={N}")
     k = cfg.tagged_node
-    if k is None or not 0 <= k < graph.n:
+    if not 0 <= k < graph.n:
         raise ConfigError(f"tagged_node {k} outside 0..{graph.n - 1}")
-    if not cfg.space.contains(i, j):
-        raise DomainError(f"state ({i}, {j}) outside the (N={cfg.N}, c={cfg.c}) lattice")
-    N = cfg.N
     d_k = graph.degree(k)
     external = (cfg.alpha * d_k / N) * (N - i - j) / N
     neighbor_sum = d_k * d_k / N
     if cfg.closure is Closure.MEAN_FIELD:
         neighbor_sum *= (i + j) / N
     return external + neighbor_sum
-
-
-def rate_function(cfg: ModelConfig, graph: ContactGraph | None = None) -> RateFunction:
-    """Bind the configured arrival-rate family to ``(i, j) -> rate``."""
-    if cfg.mode is Mode.HOMOGENEOUS:
-        return lambda i, j: arrival_rate_hom(cfg, i, j)
-    if graph is None:
-        raise ConfigError("heterogeneous mode requires a contact graph")
-    return lambda i, j: arrival_rate_het(cfg, graph, i, j)

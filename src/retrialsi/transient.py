@@ -6,7 +6,8 @@ variation bound.  It serves as the oracle the inverse-transform solver is
 checked against.  One stepping loop serves a single time (:func:`uniformize`)
 and a grid (:func:`transient_grid`): it bounds Lambda * t_max and builds U once
 per grid, then steps interval by interval.  Gillespie sampling provides a
-third, statistical route.  No route loads scipy.
+third, statistical route; it takes the arrival rate of every state as one array, as
+:func:`.model.rate_function` returns it.  No route loads scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generator import GeneratorMatrix, transitions, transposed_product
-from .model import ModelConfig, RateFunction, State, StateSpace
+from .model import ModelConfig, State, StateSpace
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
 EPS_MAX = 1e-6  # largest total-variation bound uniformization accepts
@@ -116,8 +117,9 @@ class TransientSolution:
         return len(self.vectors)
 
     def at(self, t: float) -> ProbabilityVector:
-        hits = np.nonzero(np.isclose(self.times, t))[0]
-        if hits.size != 1:
+        """The vector at grid time ``t``, matched exactly."""
+        hits = np.flatnonzero(self.times == t)
+        if not hits.size:
             raise DomainError(f"time {t} not on the solution grid")
         return self.vectors[int(hits[0])]
 
@@ -226,7 +228,7 @@ def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     return TransientSolution(grid, vectors, {"method": "uniformization", "eps": eps, "rate": lam, "steps": steps})
 
 
-def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
+def _transition_table(cfg: ModelConfig, arrival: np.ndarray):
     """Per-state targets and cumulative rates of the moves in :func:`transitions`.
 
     Returns (exit_rate[s], cum_rates[s, :], targets[s, :]), as wide as the
@@ -236,7 +238,7 @@ def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
     slot.  The exit rate is the last cumulative rate; it can differ from
     -diag(Q), which sums the same rates in column order, in the last bits.
     """
-    src, dst, rate = transitions(cfg, rate_fn)
+    src, dst, rate = transitions(cfg, arrival)
     size = cfg.space.size
     slot = np.arange(src.size) - np.searchsorted(src, src)  # rank within the state's moves
     targets = np.zeros((size, slot.max() + 1), dtype=np.int64)
@@ -247,7 +249,7 @@ def _transition_table(cfg: ModelConfig, rate_fn: RateFunction):
     return cum[:, -1], cum, targets
 
 
-def simulate_gillespie(cfg: ModelConfig, rate_fn: RateFunction, horizon: float,
+def simulate_gillespie(cfg: ModelConfig, arrival: np.ndarray, horizon: float,
                        seed: int) -> Trajectory:
     """Sample one exact jump path of the chain up to ``horizon``.
 
@@ -257,7 +259,7 @@ def simulate_gillespie(cfg: ModelConfig, rate_fn: RateFunction, horizon: float,
     if not 0 < horizon < math.inf:  # a NaN or infinite horizon is never passed, and no path would end
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     space = cfg.space
-    exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    exit_rate, cum, targets = _transition_table(cfg, arrival)
     last = cum.shape[1] - 1
     # plain-Python tables keep the event loop cheap
     totals = exit_rate.tolist()
@@ -311,7 +313,7 @@ class MonteCarloResult:
         return [np.sqrt(v.values * (1.0 - v.values) / self.replicas) for v in self.solution.vectors]
 
 
-def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
+def monte_carlo_estimate(cfg: ModelConfig, arrival: np.ndarray, times,
                          replicas: int, seed: int) -> MonteCarloResult:
     """Estimate the state distribution at each grid time from ``replicas`` paths.
 
@@ -333,7 +335,7 @@ def monte_carlo_estimate(cfg: ModelConfig, rate_fn: RateFunction, times,
     grid = time_grid(times)
 
     space = cfg.space
-    exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    exit_rate, cum, targets = _transition_table(cfg, arrival)
     columns = [np.ascontiguousarray(cum[:, k]) for k in range(cum.shape[1] - 1)]
     rng = np.random.default_rng(seed)
 

@@ -126,6 +126,19 @@ class TestSolve:
         sol = cli._solve_grid(model, None, solver, np.array(times))
         assert sol.metadata["method"] == method
 
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.5, 1.0], [0.5, 1.0]])
+    def test_ilt_metadata_has_one_entry_per_time(self, times):
+        # a t = 0 row runs no inversion: its band excursion and raw mass deviation are 0.0
+        model = rs.ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0)
+        sol = cli._solve_grid(model, None, cli.SolverSettings(method="ilt"), np.array(times))
+        positive = [t for t in times if t > 0]
+        inverted = {"band_excursion": [], "raw_sum_deviation": []}
+        if positive:
+            gen = rs.build_generator(model, rs.rate_function(model))
+            inverted = rs.transient_via_ilt(gen, rs.delta_vector(model.space, (0, 0)), positive).metadata
+        for key in ("band_excursion", "raw_sum_deviation"):
+            assert sol.metadata[key] == [0.0] * (len(times) - len(positive)) + inverted[key]
+
     def test_method_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, method="ilt")
         out = tmp_path / "out"

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -44,8 +43,20 @@ class TestBuildGenerator:
         assert gen.exit_rates()[cfg.space.index(c, N - c)] == pytest.approx(c * cfg.mu)
 
     def test_negative_rate_rejected(self, wellmixed_config):
-        with pytest.raises(ModelError):
-            rs.build_generator(wellmixed_config, lambda i, j: -1.0)
+        with pytest.raises(ModelError, match="is not >= 0"):
+            rs.build_generator(wellmixed_config, np.full(wellmixed_config.space.size, -1.0))
+
+    def test_nan_rate_rejected(self, wellmixed_config):
+        # a NaN rate made the Monte Carlo route treat its state as absorbing, with no error
+        arrival = rs.rate_function(wellmixed_config)
+        arrival[3] = np.nan
+        with pytest.raises(ModelError, match=r"nan at state \(0, 3\) is not >= 0"):
+            rs.monte_carlo_estimate(wellmixed_config, arrival, [1.0], 1000, seed=0)
+
+    def test_wrong_shape_rejected(self, wellmixed_config):
+        for shape in [(35,), (37,), (6, 6), ()]:  # 36 states
+            with pytest.raises(ModelError, match="shape"):
+                rs.build_generator(wellmixed_config, np.ones(shape))
 
     def test_dimension_matches_space(self, wellmixed_generator):
         assert wellmixed_generator.dim == 36
@@ -163,7 +174,7 @@ class TestDiagonals:
     def test_absorbing_chain_without_diagonal(self, product_matches_scipy):
         # no arrivals and theta = 0: every (0, j) is absorbing, and Q stores no diagonal there
         cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=0.0)
-        gen = rs.build_generator(cfg, lambda i, j: 0.0)
+        gen = rs.build_generator(cfg, np.zeros(cfg.space.size))
         d, lo, weight = next(diagonal for diagonal in gen.csr.diagonals() if diagonal[0] == 0)
         assert lo == cfg.space.width and np.all(weight < 0)
         for arrays in (gen.csr, gen.matrix_extended):
@@ -189,13 +200,6 @@ class TestIrreducibility:
 
 
 class TestDumpAndGuards:
-    def test_triplet_dump(self, tiny_generator):
-        buf = io.StringIO()
-        tiny_generator.write_triplets(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "row,col,rate"
-        assert len(lines) - 1 == tiny_generator.matrix.nnz
-
     def test_dense_guard(self):
         cfg = ModelConfig(N=200, c=100, alpha=5.0, mu=0.4, theta=2.0)
         gen = rs.build_generator(cfg, rs.rate_function(cfg))

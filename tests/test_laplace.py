@@ -232,7 +232,7 @@ class TestLevelSweep:
 def zero_arrival_generator(theta):
     """N = 10, c = 3 with no arrivals: every (0, j) is absorbing unless theta > 0 drains the orbit."""
     cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=theta)
-    return rs.build_generator(cfg, lambda i, j: 0.0)
+    return rs.build_generator(cfg, np.zeros(cfg.space.size))
 
 
 class TestStationaryNullspace:

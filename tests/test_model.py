@@ -187,21 +187,23 @@ class TestModelConfig:
             ModelConfig(**kwargs)
 
 
+def rate_at(cfg, i, j, graph=None):
+    """The arrival rate at state (i, j), read from the array rate_function returns."""
+    return rs.rate_function(cfg, graph)[cfg.space.index(i, j)]
+
+
 class TestHomogeneousRate:
     def test_examples(self, wellmixed_config):
-        assert rs.arrival_rate_hom(wellmixed_config, 0, 0) == 5.0
-        assert rs.arrival_rate_hom(wellmixed_config, 5, 5) == 0.0
-        assert rs.arrival_rate_hom(wellmixed_config, 2, 3) == 2.5
+        assert rate_at(wellmixed_config, 0, 0) == 5.0
+        assert rate_at(wellmixed_config, 5, 5) == 0.0
+        assert rate_at(wellmixed_config, 2, 3) == 2.5
 
     def test_zero_iff_everyone_infected(self, wellmixed_config):
-        for i, j in wellmixed_config.space.states():
-            rate = rs.arrival_rate_hom(wellmixed_config, i, j)
+        rates = rs.rate_function(wellmixed_config)
+        assert rates.shape == (wellmixed_config.space.size,)
+        for (i, j), rate in zip(wellmixed_config.space.states(), rates):
             assert rate >= 0.0
             assert (rate == 0.0) == (i + j == wellmixed_config.N)
-
-    def test_domain_error(self, wellmixed_config):
-        with pytest.raises(DomainError):
-            rs.arrival_rate_hom(wellmixed_config, 6, 0)
 
 
 class TestHeterogeneousRate:
@@ -212,47 +214,39 @@ class TestHeterogeneousRate:
     def test_star_center_no_infected(self):
         # external term only: (alpha * 9/10) * (10/10) = 4.5
         cfg = self.het_config(0)
-        assert rs.arrival_rate_het(cfg, star_graph(10), 0, 0) == pytest.approx(4.5)
+        assert rate_at(cfg, 0, 0, star_graph(10)) == pytest.approx(4.5)
 
     def test_full_neighbor_adds_degree_pressure(self):
         cfg = self.het_config(0, Closure.FULL_NEIGHBOR)
         # neighbor sum d_k^2 / N = 81 / 10 on top of the external 4.5
-        assert rs.arrival_rate_het(cfg, star_graph(10), 0, 0) == pytest.approx(4.5 + 8.1)
+        assert rate_at(cfg, 0, 0, star_graph(10)) == pytest.approx(4.5 + 8.1)
 
     def test_everyone_infected_keeps_neighbor_term(self):
         cfg = self.het_config(0)
-        got = rs.arrival_rate_het(cfg, star_graph(10), 5, 5)
+        got = rate_at(cfg, 5, 5, star_graph(10))
         assert got == pytest.approx(81.0 / 10.0)  # external term vanished
 
     def test_isolated_node_rate_zero(self):
         cfg = self.het_config(0)
-        assert rs.arrival_rate_het(cfg, ContactGraph(10, [(1, 2)]), 2, 3) == 0.0
+        assert rate_at(cfg, 2, 3, ContactGraph(10, [(1, 2)])) == 0.0
 
     def test_full_neighbor_dominates_mean_field(self):
         graph = rs.ring_with_hub(10)
-        mean = self.het_config(2, Closure.MEAN_FIELD)
-        full = self.het_config(2, Closure.FULL_NEIGHBOR)
-        for i, j in mean.space.states():
-            assert (rs.arrival_rate_het(full, graph, i, j)
-                    >= rs.arrival_rate_het(mean, graph, i, j))
+        full = rs.rate_function(self.het_config(2, Closure.FULL_NEIGHBOR), graph)
+        mean = rs.rate_function(self.het_config(2, Closure.MEAN_FIELD), graph)
+        assert np.all(full >= mean)
 
     def test_config_errors(self):
-        cfg = self.het_config(12)
         with pytest.raises(ConfigError):
-            rs.arrival_rate_het(cfg, star_graph(10), 0, 0)  # k out of range
-        hom = ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0)
+            rs.rate_function(self.het_config(12), star_graph(10))  # k out of range
         with pytest.raises(ConfigError):
-            rs.arrival_rate_het(hom, star_graph(10), 0, 0)  # wrong mode
-        with pytest.raises(ConfigError):
-            rs.arrival_rate_het(self.het_config(0), star_graph(8), 0, 0)  # size mismatch
+            rs.rate_function(self.het_config(0), star_graph(8))  # size mismatch
 
 
 def test_rate_function_dispatch(wellmixed_config):
-    hom = rs.rate_function(wellmixed_config)
-    assert hom(0, 0) == 5.0
+    assert rate_at(wellmixed_config, 0, 0) == 5.0
     het_cfg = ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0,
                           mode="heterogeneous", tagged_node=2)
-    het = rs.rate_function(het_cfg, rs.ring_with_hub(10))
-    assert het(0, 0) == pytest.approx(5.0 * 3 / 10)
+    assert rate_at(het_cfg, 0, 0, rs.ring_with_hub(10)) == pytest.approx(5.0 * 3 / 10)
     with pytest.raises(ConfigError):
         rs.rate_function(het_cfg)  # graph missing

@@ -37,18 +37,46 @@ def models(draw, max_n=30, thetas=st.one_of(st.just(0.0), RATES)):
     return cfg, rs.ContactGraph(N, sorted(edges))
 
 
+def paper_arrival_rate(cfg, graph, i, j):
+    """The paper's arrival rate at one state (i, j), written out as the reference for rate_function."""
+    N = cfg.N
+    if cfg.mode is rs.Mode.HOMOGENEOUS:
+        return cfg.alpha * (N - i - j) / N
+    d = graph.degree(cfg.tagged_node)
+    neighbor = d * d / N
+    if cfg.closure is rs.Closure.MEAN_FIELD:
+        neighbor *= (i + j) / N
+    return (cfg.alpha * d / N) * (N - i - j) / N + neighbor
+
+
+RING_MODEL = dict(N=10, c=4, alpha=5.0, mu=0.4, theta=2.0, initial_state=(1, 2))
+
+
+@PROPERTY_SETTINGS
+@given(models())
+@example((rs.ModelConfig(**RING_MODEL), rs.ring_with_hub(10)))
+@example((rs.ModelConfig(**RING_MODEL, mode="heterogeneous", tagged_node=2), rs.ring_with_hub(10)))
+@example((rs.ModelConfig(**RING_MODEL, mode="heterogeneous", tagged_node=0,
+                         closure=rs.Closure.FULL_NEIGHBOR), rs.ring_with_hub(10)))
+def test_rate_function_is_the_per_state_formula(model):
+    # every rate bit for bit, in state-index order, for both modes and both closures
+    cfg, graph = model
+    want = [paper_arrival_rate(cfg, graph, i, j) for i, j in cfg.space.states()]
+    assert np.array_equal(rs.rate_function(cfg, graph), want)
+
+
 @PROPERTY_SETTINGS
 @given(models(), st.floats(0.0, 2.0))
 def test_generator_simulator_and_oracle_agree(model, t):
     cfg, graph = model
-    rate_fn = rs.rate_function(cfg, graph)
-    gen = rs.build_generator(cfg, rate_fn)
+    arrival = rs.rate_function(cfg, graph)
+    gen = rs.build_generator(cfg, arrival)
     report = rs.validate_generator(gen)
     assert report.ok and report.stencil_checked, report.summary()
 
     # The simulator sums a state's (at most three, nonnegative) rates in family
     # order, Q in column order; each sum is within 2u = eps of the exact one.
-    exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    exit_rate, cum, targets = _transition_table(cfg, arrival)
     np.testing.assert_allclose(exit_rate, gen.exit_rates(), rtol=3 * np.finfo(float).eps, atol=0)
 
     # Every slot a uniform draw can select moves along a positive off-diagonal
@@ -108,9 +136,9 @@ def test_diagonal_product_matches_scipy(product_matches_scipy, model, seed):
         product_matches_scipy(arrays, seed)
 
 
-def scipy_assembly(cfg, rate_fn):
+def scipy_assembly(cfg, arrival):
     """Q and its longdouble twin as scipy assembles them: coo -> csr, minus the row sums."""
-    src, dst, rate = transitions(cfg, rate_fn)
+    src, dst, rate = transitions(cfg, arrival)
     n = cfg.space.size
     off = coo_matrix((rate, (src, dst)), shape=(n, n)).tocsr()
     q = (off + diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
@@ -120,9 +148,9 @@ def scipy_assembly(cfg, rate_fn):
 
 
 def assert_assembly_matches_scipy(cfg, graph):
-    rate_fn = rs.rate_function(cfg, graph)
-    gen = rs.build_generator(cfg, rate_fn)
-    for arrays, reference in zip((gen.csr, gen.matrix_extended), scipy_assembly(cfg, rate_fn)):
+    arrival = rs.rate_function(cfg, graph)
+    gen = rs.build_generator(cfg, arrival)
+    for arrays, reference in zip((gen.csr, gen.matrix_extended), scipy_assembly(cfg, arrival)):
         for got, want in zip(arrays, (reference.data, reference.indices, reference.indptr)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 

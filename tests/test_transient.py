@@ -58,7 +58,7 @@ class TestUniformize:
             gen = two_state_toy
         else:  # no arrivals and theta = 0: every (0, j) is absorbing, and Q stores no diagonal there
             cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=0.0)
-            gen = rs.build_generator(cfg, lambda i, j: 0.0)
+            gen = rs.build_generator(cfg, np.zeros(cfg.space.size))
             assert np.count_nonzero(gen.exit_rates() == 0) == cfg.space.width
         v = np.random.default_rng(3).standard_normal(gen.dim)
         v[::3] = -0.0
@@ -121,6 +121,14 @@ class TestTransientGrid:
         assert sol.at(2.0).t == pytest.approx(2.0)
         with pytest.raises(DomainError):
             sol.at(3.0)
+
+    def test_lookup_matches_times_exactly(self, wellmixed_generator, wellmixed_p0):
+        # two times 1e-6 apart in relative terms: np.isclose at rtol 1e-5 matched both
+        sol = rs.transient_grid(wellmixed_generator, wellmixed_p0, [1000.0, 1000.001])
+        assert sol.at(1000.0) is sol.vectors[0]
+        assert sol.at(1000.001) is sol.vectors[1]
+        with pytest.raises(DomainError):
+            sol.at(1000.0005)
 
     def test_builds_diagonals_once(self, wellmixed_generator, wellmixed_p0):
         # U is set up once per grid, not once per interval
@@ -209,7 +217,7 @@ class TestGillespie:
         assert lines[1] == "0.0,0,0"
 
 
-def lockstep_reference(cfg, rate_fn, times, replicas, seed):
+def lockstep_reference(cfg, arrival, times, replicas, seed):
     """Reference lockstep loop that rescans every replica's clock in each round.
 
     It draws the same random numbers as ``monte_carlo_estimate`` and returns
@@ -217,7 +225,7 @@ def lockstep_reference(cfg, rate_fn, times, replicas, seed):
     """
     grid = np.asarray(times, dtype=float)
     space = cfg.space
-    exit_rate, cum, targets = _transition_table(cfg, rate_fn)
+    exit_rate, cum, targets = _transition_table(cfg, arrival)
     rng = np.random.default_rng(seed)
 
     state = np.full(replicas, space.index(*cfg.initial_state), dtype=np.int64)
@@ -257,7 +265,7 @@ def lockstep_reference(cfg, rate_fn, times, replicas, seed):
 
 
 def _reference_models():
-    """(config, rate function) by name, with an absorbing chain for the stuck branch."""
+    """(config, arrival rates) by name, with an absorbing chain for the stuck branch."""
     homogeneous = {
         "wellmixed": ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0),
         "theta0_c1": ModelConfig(N=10, c=1, alpha=5.0, mu=0.4, theta=0.0),
@@ -269,7 +277,7 @@ def _reference_models():
     cases["ring_with_hub"] = (het, rs.rate_function(het, rs.ring_with_hub(10)))
     for theta in (0.0, 1.0):  # no arrivals: every path ends in an absorbing state
         cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=theta, initial_state=(2, 4))
-        cases[f"absorbing_theta{theta:g}"] = (cfg, lambda i, j: 0.0)
+        cases[f"absorbing_theta{theta:g}"] = (cfg, np.zeros(cfg.space.size))
     return cases
 
 
@@ -355,7 +363,8 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(np.random, "default_rng", TyingGenerator)
         cfg = ModelConfig(N=10, c=5, alpha=1.0, mu=1.0, theta=1.0, initial_state=(2, 2))
-        rate = lambda i, j: float(i + j)  # noqa: E731
+        i, j = np.divmod(np.arange(cfg.space.size), cfg.space.width)
+        rate = (i + j).astype(float)
         times = [0.5, 1.0, 3.0]
         mc = rs.monte_carlo_estimate(cfg, rate, times, 2000, seed=3)
         vectors, _ = lockstep_reference(cfg, rate, times, 2000, seed=3)
