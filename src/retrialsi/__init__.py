@@ -6,101 +6,44 @@ orbiting (retrying) infected nodes.  Three independent solution routes are
 provided and cross-checked: Laplace-domain resolvent solves (one batched
 level sweep per time grid) inverted numerically, uniformization of the
 forward equations, and exact stochastic simulation.
+
+Each public name is loaded from its submodule on first use (PEP 562), so
+importing the package or its CLI loads neither numpy nor any solver.
 """
 
-from .errors import (
-    AccuracyError,
-    ConfigError,
-    DomainError,
-    GraphFormatError,
-    ModelError,
-    NumericalError,
-    RetrialSIError,
-)
-from .generator import GeneratorMatrix, ValidationReport, build_generator, validate_generator
-from .inversion import (
-    DEFAULT_CHAIN_ORDER,
-    DEFAULT_ORDER,
-    StehfestWeights,
-    invert_at,
-    stehfest_coefficients,
-    transient_via_ilt,
-)
-from .laplace import stationary_nullspace
-from .measures import (
-    MarginalReport,
-    marginal_orbit,
-    marginal_recovering,
-    marginal_report,
-    moment_orbit,
-    moment_recovering,
-)
-from .model import (
-    Closure,
-    ContactGraph,
-    Mode,
-    ModelConfig,
-    StateSpace,
-    graph_to_text,
-    load_graph,
-    rate_function,
-    ring_with_hub,
-)
-from .transient import (
-    MonteCarloResult,
-    ProbabilityVector,
-    Trajectory,
-    TransientSolution,
-    delta_vector,
-    monte_carlo_estimate,
-    simulate_gillespie,
-    transient_grid,
-    uniformize,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "Closure",
-    "ConfigError",
-    "ContactGraph",
-    "DEFAULT_CHAIN_ORDER",
-    "DEFAULT_ORDER",
-    "DomainError",
-    "GeneratorMatrix",
-    "GraphFormatError",
-    "MarginalReport",
-    "Mode",
-    "ModelConfig",
-    "ModelError",
-    "MonteCarloResult",
-    "NumericalError",
-    "ProbabilityVector",
-    "RetrialSIError",
-    "StateSpace",
-    "StehfestWeights",
-    "Trajectory",
-    "TransientSolution",
-    "ValidationReport",
-    "build_generator",
-    "delta_vector",
-    "graph_to_text",
-    "invert_at",
-    "load_graph",
-    "marginal_orbit",
-    "marginal_recovering",
-    "marginal_report",
-    "moment_orbit",
-    "moment_recovering",
-    "monte_carlo_estimate",
-    "rate_function",
-    "ring_with_hub",
-    "simulate_gillespie",
-    "stationary_nullspace",
-    "stehfest_coefficients",
-    "transient_grid",
-    "transient_via_ilt",
-    "uniformize",
-    "validate_generator",
-]
+_SUBMODULE_NAMES = {
+    "errors": ("AccuracyError", "ConfigError", "DomainError", "GraphFormatError", "ModelError",
+               "NumericalError", "RetrialSIError"),
+    "generator": ("GeneratorMatrix", "ValidationReport", "build_generator", "validate_generator"),
+    "inversion": ("DEFAULT_ORDER", "StehfestWeights", "invert_at", "stehfest_coefficients",
+                  "transient_via_ilt"),
+    "laplace": ("stationary_nullspace",),
+    "measures": ("MarginalReport", "marginal_orbit", "marginal_recovering", "marginal_report",
+                 "moment_orbit", "moment_recovering"),
+    "model": ("DEFAULT_CHAIN_ORDER", "Closure", "ContactGraph", "Mode", "ModelConfig", "StateSpace",
+              "graph_to_text", "load_graph", "rate_function", "ring_with_hub"),
+    "transient": ("MonteCarloResult", "ProbabilityVector", "Trajectory", "TransientSolution",
+                  "delta_vector", "monte_carlo_estimate", "simulate_gillespie", "transient_grid",
+                  "uniformize"),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name in _SUBMODULE_NAMES:  # a submodule, reachable as when the package imported them all
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

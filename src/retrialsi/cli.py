@@ -4,7 +4,8 @@ Subcommands: solve, table, sweep, timeseries, stationary, simulate,
 validate-config.  Exit codes: 0 ok, 2 configuration error (a malformed
 config value or an unwritable --out included), 3 numerical accuracy error.
 All reports are UTF-8, comma-separated CSV with LF line endings; rounded
-values use round-half-even.
+values use round-half-even.  Parsing and validating a well-mixed config loads
+no numpy; each report imports the solver modules it runs where it runs them.
 """
 
 from __future__ import annotations
@@ -21,35 +22,29 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
 import yaml
 
 from . import __version__
 from .errors import AccuracyError, ConfigError, DomainError, ModelError, NumericalError
-from .generator import build_generator, transposed_product
-from .inversion import DEFAULT_CHAIN_ORDER, K_MAX, K_MIN, transient_via_ilt
-from .laplace import stationary_nullspace
-from .measures import marginal_orbit, marginal_recovering, moment_orbit, moment_recovering
 from .model import (
+    DEFAULT_CHAIN_ORDER,
+    EPS_MAX,
+    K_MAX,
+    K_MIN,
+    MIN_REPLICAS,
     ContactGraph,
     Mode,
     ModelConfig,
+    checked_times,
     load_graph,
     rate_function,
     ring_with_hub,
 )
-from .reference import REFERENCE_FIRST_MOMENTS, REFERENCE_TOLERANCE
-from .transient import (
-    EPS_MAX,
-    MIN_REPLICAS,
-    TransientSolution,
-    delta_vector,
-    monte_carlo_estimate,
-    simulate_gillespie,
-    time_grid,
-    transient_grid,
-)
+
+if TYPE_CHECKING:
+    from .transient import TransientSolution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,7 +81,7 @@ class SolverSettings:
 class ScenarioConfig:
     model: ModelConfig
     solver: SolverSettings
-    times: np.ndarray | None
+    times: tuple[float, ...] | None
     outputs: tuple[str, ...]
     graph: ContactGraph | None = None
     graph_path: str | None = None
@@ -94,7 +89,7 @@ class ScenarioConfig:
     table_c: tuple[int, ...] = DEFAULT_TABLE_C
     table_times: tuple[float, ...] = DEFAULT_TABLE_TIMES
     sweep_thetas: tuple[float, ...] = DEFAULT_SWEEP_THETAS
-    sweep_times: np.ndarray | None = None
+    sweep_times: tuple[float, ...] | None = None
     raw: dict = field(default_factory=dict)
 
     @property
@@ -102,12 +97,11 @@ class ScenarioConfig:
         canonical = json.dumps(self.raw, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> tuple[float, ...]:
         """Configured time grid, defaulting to the mode's plotting range."""
         if self.times is not None:
             return self.times
-        stop = 9.0 if self.model.mode is Mode.HOMOGENEOUS else 14.0
-        return np.round(np.arange(0.0, stop + 1e-9, 0.5), 10)
+        return _range_times(0.0, 9.0 if self.model.mode is Mode.HOMOGENEOUS else 14.0, 0.5)
 
 
 @contextmanager
@@ -115,7 +109,7 @@ def _malformed(label):
     """Report a value that fails to convert or validate as a ConfigError naming ``label``."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{label}: {exc}") from exc
 
 
@@ -142,8 +136,20 @@ def _section(mapping, key):
     return section
 
 
+def _range_times(start, stop, step) -> tuple[float, ...]:
+    """``np.round(np.arange(start, stop + step / 2, step), 12)`` bit for bit, without numpy.
+
+    arange fills ``start + i * ((start + step) - start)``, and rounding to 12
+    places is ``rint(x * 1e12) / 1e12``, whose rint Python's half-even
+    ``round`` matches on every finite x.
+    """
+    delta = (start + step) - start
+    scaled = (1e12 * (start + i * delta) for i in range(math.ceil((stop + step / 2.0 - start) / step)))
+    return tuple(round(x) / 1e12 if math.isfinite(x) else x / 1e12 for x in scaled)
+
+
 def _parse_times(value, label):
-    """A list of times or a {start, stop, step} range, checked by :func:`time_grid`."""
+    """A list of times or a {start, stop, step} range, checked by :func:`.model.checked_times`."""
     if value is None:
         return None
     if isinstance(value, dict):
@@ -159,13 +165,14 @@ def _parse_times(value, label):
             raise ConfigError(f"{label}: stop {stop} precedes start {start}")
         if (stop - start) / step >= MAX_RANGE_POINTS:
             raise ConfigError(f"{label}: step {step} gives more than {MAX_RANGE_POINTS} times")
-        value = np.round(np.arange(start, stop + step / 2.0, step), 12)
+        with _malformed(label):
+            value = _range_times(start, stop, step)
     elif not isinstance(value, (list, tuple)):
         raise ConfigError(f"{label}: expected a list or {{start, stop, step}}")
     else:
         value = [_number(t, label) for t in value]
     with _malformed(label):
-        return time_grid(value)
+        return checked_times(value)
 
 
 def _check_states(label, n, c):
@@ -176,8 +183,8 @@ def _check_states(label, n, c):
 
 
 def _check_grid(label, times, states):
-    if times is not None and times.size * states > MAX_GRID_ENTRIES:
-        raise ConfigError(f"{label}: {times.size} times x {states} states give {times.size * states} "
+    if times is not None and len(times) * states > MAX_GRID_ENTRIES:
+        raise ConfigError(f"{label}: {len(times)} times x {states} states give {len(times) * states} "
                           f"values, more than MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}")
 
 
@@ -282,8 +289,13 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     with _malformed("table"):
         table_n = tuple(_integer(n, "table.N") for n in table_map.get("N", DEFAULT_TABLE_N))
         table_c = tuple(_integer(c, "table.c") for c in table_map.get("c", DEFAULT_TABLE_C))
-    table_states = [_check_states("table", n, c)  # the other pairs are skipped
-                    for n, c in itertools.product(table_n, table_c) if 1 <= c < n]
+    pairs = [(n, c) for n, c in itertools.product(table_n, table_c) if 1 <= c < n]  # the others are skipped
+    table_states = [_check_states("table", n, c) for n, c in pairs]
+    if model.mode is Mode.HETEROGENEOUS:  # each N runs on the fixture ring_with_hub(N), see _table_cells
+        unusable = [n for n, _ in pairs if n < 4 or n <= model.tagged_node]
+        if unusable:
+            raise ConfigError(f"table.N: ring_with_hub(N) needs N >= 4 and N > tagged_node = "
+                              f"{model.tagged_node}, got N = {unusable[0]}")
     table_times = _parse_times(table_map.get("times", DEFAULT_TABLE_TIMES), "table.times")
     _check_grid("table.times", table_times, max(table_states, default=0))
     with _malformed("sweep.thetas"):
@@ -304,7 +316,7 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         graph_path=graph_path,
         table_n=table_n,
         table_c=table_c,
-        table_times=tuple(table_times.tolist()),
+        table_times=table_times,
         sweep_thetas=sweep_thetas,
         sweep_times=_parse_times(sweep_map.get("times"), "sweep.times"),
         raw=raw,
@@ -317,15 +329,18 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
 # --- solving ---------------------------------------------------------------
 
 
-def _solve_grid(model: ModelConfig, graph, solver: SolverSettings,
-                times: np.ndarray) -> TransientSolution:
-    """Distribution on a time grid under the configured method.
+def _solve_grid(model: ModelConfig, graph, solver: SolverSettings, times) -> TransientSolution:
+    """Distribution on a checked time grid under the configured method.
 
     A leading t = 0 is served directly by the initial distribution (the
     inverse transform needs t > 0; the other methods accept 0 anyway), so a
     grid of t = 0 alone runs no inversion.  Its entries in the inversion's
     per-time metadata lists are 0.0, so each list has one entry per time.
+    Only the inversion loads the inversion and Laplace modules.
     """
+    from .generator import build_generator
+    from .transient import TransientSolution, delta_vector, monte_carlo_estimate, transient_grid
+
     arrival = rate_function(model, graph)
     if solver.method == "monte_carlo":  # samples from the transition table, not from Q
         return monte_carlo_estimate(model, arrival, times, solver.replicas, solver.seed).solution
@@ -334,14 +349,17 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings,
     if solver.method == "uniformization":
         return transient_grid(gen, p0, times, eps=solver.eps)
 
-    positive = times[times > 0]
-    vectors = [p0] * (times.size - positive.size)  # the t = 0 row, if any
+    from .inversion import transient_via_ilt
+
+    positive = [t for t in times if t > 0]
+    leading = len(times) - len(positive)  # the t = 0 row, if any
+    vectors = [p0] * leading
     meta = {"method": "ilt", "order": solver.order, "abscissae": 0, "raw_sum_deviation": [], "band_excursion": []}
-    if positive.size:
+    if positive:
         sol = transient_via_ilt(gen, p0, positive, order=solver.order)
         vectors, meta = vectors + sol.vectors, sol.metadata
     for key in ("raw_sum_deviation", "band_excursion"):
-        meta[key] = [0.0] * (times.size - positive.size) + meta[key]
+        meta[key] = [0.0] * leading + meta[key]
     return TransientSolution(times, vectors, meta)
 
 
@@ -399,6 +417,8 @@ def _fmt(x: float) -> str:
 
 def _state_columns(space):
     """The i and j of every state, in index order, as two lists of ints."""
+    import numpy as np
+
     return [column.tolist() for column in np.divmod(np.arange(space.size), space.width)]
 
 
@@ -413,6 +433,8 @@ def _write_state_probs(scenario, sol, out_dir, meta):
 
 
 def _write_marginals(scenario, sol, out_dir, meta, prefix="marginals"):
+    from .measures import marginal_orbit, marginal_recovering
+
     rec_rows, orb_rows = [], []
     for t, vec in zip(sol.times, sol.vectors):
         for i, p in enumerate(marginal_recovering(vec)):
@@ -427,6 +449,8 @@ def _write_marginals(scenario, sol, out_dir, meta, prefix="marginals"):
 
 def _first_moments(sol: TransientSolution):
     """(t, E[I], E[R]) at each time of ``sol``."""
+    from .measures import moment_orbit, moment_recovering
+
     return [(t, moment_recovering(vec), moment_orbit(vec)) for t, vec in zip(sol.times.tolist(), sol.vectors)]
 
 
@@ -436,6 +460,11 @@ def _write_moments(scenario, sol, out_dir, meta, name="moments.csv"):
 
 
 def _write_stationary(scenario, out_dir, meta):
+    import numpy as np
+
+    from .generator import build_generator, transposed_product
+    from .laplace import stationary_nullspace
+
     gen = build_generator(scenario.model, rate_function(scenario.model, scenario.graph))
     pi = stationary_nullspace(gen)
     if meta is not None:  # max |pi Q| along Q's diagonals, which loads no scipy
@@ -454,13 +483,12 @@ def _table_cells(scenario: ScenarioConfig):
     """
     cells = {}
     heterogeneous = scenario.model.mode is Mode.HETEROGENEOUS
-    times = np.asarray(scenario.table_times)
     for n in scenario.table_n:
         valid_c = [c for c in scenario.table_c if 1 <= c < n]  # MAX_STATES bounds these pairs
         graph = ring_with_hub(n) if heterogeneous and valid_c else None
         for c in valid_c:
             model = dataclasses.replace(scenario.model, N=n, c=c, initial_state=(0, 0))
-            for t, e_i, e_r in _first_moments(_solve_grid(model, graph, scenario.solver, times)):
+            for t, e_i, e_r in _first_moments(_solve_grid(model, graph, scenario.solver, scenario.table_times)):
                 cells[(c, t, n)] = (e_i, e_r)
     return cells
 
@@ -491,6 +519,8 @@ def _write_table(scenario, out_dir, meta):
 
 def _write_match_report(scenario, cells, out_dir, meta):
     """Compare the computed grid against the published reference values."""
+    from .reference import REFERENCE_FIRST_MOMENTS, REFERENCE_TOLERANCE
+
     rows = []
     compared = matched = 0
     for (c, t, n), ref in sorted(REFERENCE_FIRST_MOMENTS.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
@@ -534,7 +564,9 @@ def _write_sweep(scenario, out_dir, meta):
 
 
 def _write_trajectory(scenario, out_dir, meta):
-    horizon = float(scenario.grid().max())
+    from .transient import simulate_gillespie
+
+    horizon = max(scenario.grid())
     if horizon <= 0:
         raise ConfigError("times: simulation horizon must be positive")
     trajectory = simulate_gillespie(

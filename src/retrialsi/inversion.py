@@ -28,19 +28,11 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .generator import GeneratorMatrix
 from .laplace import solve_resolvents
+from .model import DEFAULT_CHAIN_ORDER, K_MAX, K_MIN
 from .transient import ProbabilityVector, TransientSolution, time_grid
-
-K_MIN = 2
-K_MAX = 20
 
 #: Default order for generic scalar transforms.
 DEFAULT_ORDER = 14
-
-#: Default order for the chain-probability driver.  With longdouble solves and
-#: extended-precision accumulation, K = 20 keeps the worst per-entry and
-#: first-moment deviations from the uniformization oracle below 1e-4 on the
-#: reference grids; K = 14 in plain double precision does not.
-DEFAULT_CHAIN_ORDER = 20
 
 #: Raw inversion output may stray this far outside [0, 1] before it is an error.
 RAW_TOLERANCE_BAND = 1e-4

@@ -21,11 +21,9 @@ import numpy as np
 
 from .errors import DomainError
 from .generator import GeneratorMatrix, transitions, transposed_product
-from .model import ModelConfig, State, StateSpace
+from .model import EPS_MAX, MIN_REPLICAS, ModelConfig, State, StateSpace, checked_times
 
 RNG_ALGORITHM = "pcg64"  # numpy default_rng bit generator
-EPS_MAX = 1e-6  # largest total-variation bound uniformization accepts
-MIN_REPLICAS = 1000  # fewest replicas a Monte Carlo estimate accepts
 MAX_POISSON_MEAN = 10 ** 6  # largest Lambda * t uniformization accepts, ~1e3 in the shipped configs
 
 
@@ -79,20 +77,8 @@ def delta_vector(space: StateSpace, state: State) -> ProbabilityVector:
 
 
 def time_grid(times) -> np.ndarray:
-    """``times`` as a float array, checked to be a grid the solvers accept.
-
-    A grid is nonempty and 1-d, every time is finite and >= 0, and the times
-    strictly increase.  An infinite time would never be reached by a sampled
-    path and overflows the uniformization step count.
-    """
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("times must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(grid) & (grid >= 0)):
-        raise DomainError("times must be finite and nonnegative")
-    if not np.all(np.diff(grid) > 0):
-        raise DomainError("times must be strictly increasing")
-    return grid
+    """``times`` as a new float array, checked by :func:`.model.checked_times`."""
+    return np.array(checked_times(times))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +90,7 @@ class TransientSolution:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = time_grid(self.times).copy()
+        t = time_grid(self.times)
         if t.size != len(self.vectors):
             raise DomainError("times and vectors must align one to one")
         sizes = {v.values.size for v in self.vectors}

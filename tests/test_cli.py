@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,20 @@ class TestExitCodes:
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2, command
             assert "model.tagged_node" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tagged_node, table", [(5, "{N: [4], c: [1]}"), (2, "{N: [3, 10], c: [1, 5]}")],
+                             ids=["tagged_node_outside_fixture", "fixture_below_four_nodes"])
+    def test_heterogeneous_table_fixture_fails_validation(self, tmp_path, capsys, tagged_node, table):
+        # the table solves each N on ring_with_hub(N), which needs N >= 4 and holds nodes 0..N-1
+        path = tmp_path / "het.yaml"
+        path.write_text(
+            f"model: {{N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, mode: heterogeneous, tagged_node: {tagged_node}}}\n"
+            f"graph_path: {REPO / 'graphs' / 'ring_hub_10.txt'}\n"
+            f"table: {table}\noutputs: [moments]\n"
+        )
+        for command in ("validate-config", "table"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2, command
+            assert capsys.readouterr().err.startswith("config error: table.N: ring_with_hub(N) needs N >= 4")
+
     def test_empty_times(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(
@@ -286,7 +301,7 @@ class TestExitCodes:
         def ill_posed(*args):
             raise ModelError("reducible chain")
 
-        monkeypatch.setattr(cli, "stationary_nullspace", ill_posed)
+        monkeypatch.setattr(laplace, "stationary_nullspace", ill_posed)
         cfg = write_config(tmp_path)
         assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
@@ -312,7 +327,7 @@ class TestExitCodes:
             def singular(gen):
                 raise NumericalError("singular pivot in the stationary system")
 
-            monkeypatch.setattr(cli, "stationary_nullspace", singular)
+            monkeypatch.setattr(laplace, "stationary_nullspace", singular)
         assert main([command, "--config", cfg, "--out", str(out)]) == code
         err = capsys.readouterr().err
         prefix = "config error: " if code == 2 else "numerical error: "
@@ -536,7 +551,7 @@ class TestScenarioParsing:
         model = {"N": 1000, "c": 500, "alpha": 5, "mu": 0.4, "theta": 2}
         small = {"N": 10, "c": 5, "alpha": 5, "mu": 0.4, "theta": 2}
         grid = {"start": 0.5, "stop": 20.0, "step": 0.5}
-        assert scenario_from_mapping({"model": model, "times": {**grid, "stop": 19.5}}).grid().size == 39
+        assert len(scenario_from_mapping({"model": model, "times": {**grid, "stop": 19.5}}).grid()) == 39
         for label, mapping in [("times", {"model": model, "times": grid}),
                                ("sweep.times", {"model": model, "sweep": {"times": grid}}),
                                ("table.times", {"model": small,
@@ -552,7 +567,7 @@ class TestScenarioParsing:
             "model": {"N": 1093, "c": 546, "alpha": 5, "mu": 0.4, "theta": 2, "mode": "heterogeneous"},
             "graph_path": "g.txt",
         }, base_dir=tmp_path)
-        assert scenario.grid().size == 29 and 299_756 <= cli.MAX_STATES
+        assert len(scenario.grid()) == 29 and 299_756 <= cli.MAX_STATES
 
     def test_heterogeneous_default_tagged_node(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -611,18 +626,20 @@ class TestPerStateWriters:
         assert path.read_bytes() == self.per_state_csv(("i", "j", "probability"), rows)
 
 
-#: Runs the CLI in a fresh interpreter and prints its exit code and loaded scipy
-#: modules; with ``--block-scipy`` first, every scipy import fails.
-SCIPY_PROBE = """\
+#: Runs the CLI in a fresh interpreter and prints its exit code and the scipy, numpy
+#: and retrialsi modules it loaded; with ``--block <package>`` first, every import
+#: of that top-level package fails.
+PROBE = """\
 import json, sys
-if sys.argv[1] == "--block-scipy":
-    sys.modules["scipy"] = None
-    del sys.argv[1]
+if sys.argv[1] == "--block":
+    sys.modules[sys.argv[2]] = None
+    del sys.argv[1:3]
 from retrialsi import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m, module in sys.modules.items()
-                               if module is not None and m.split(".")[0] == "scipy")]))
+                               if module is not None and m.split(".")[0] in ("scipy", "numpy", "retrialsi"))]))
 """
+SRC = Path(rs.__file__).resolve().parents[1]
 
 #: Small enough to run every subcommand by every method in a fraction of a second.
 SMALL_YAML = """\
@@ -636,18 +653,27 @@ sweep: {thetas: [0.0, 1.0], times: [0.5, 1.0]}
 SUBCOMMANDS = ("solve", "table", "sweep", "timeseries", "stationary", "simulate", "validate-config")
 
 
-def run_probe(tmp_path, *args, config, metadata=False):
-    """Exit code and loaded scipy modules of one CLI run in a fresh interpreter."""
-    src = str(Path(rs.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def run_probe(tmp_path, *args, config, metadata=False, block=None, src=SRC):
+    """The scipy, numpy and retrialsi modules one CLI run loads in a fresh interpreter.
+
+    The package is imported from ``src``; with ``block``, every import of that
+    top-level package fails.  The run must exit 0.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     argv = [*args, "--config", str(config), "--out", str(tmp_path / "out")]
     if not metadata:
         argv.append("--no-metadata")
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+    if block:
+        argv = ["--block", block, *argv]
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
     return set(modules)
+
+
+def scipy_of(modules):
+    return {m for m in modules if m.split(".")[0] == "scipy"}
 
 
 @pytest.mark.parametrize("method", cli.METHODS)
@@ -655,7 +681,7 @@ def run_probe(tmp_path, *args, config, metadata=False):
 def test_runs_without_scipy(tmp_path, command, method):
     config = tmp_path / "small.yaml"
     config.write_text(SMALL_YAML)
-    assert run_probe(tmp_path, "--block-scipy", command, "--method", method, config=config) == set()
+    assert scipy_of(run_probe(tmp_path, command, "--method", method, config=config, block="scipy")) == set()
 
 
 class TestScipyLoading:
@@ -663,7 +689,7 @@ class TestScipyLoading:
 
     @staticmethod
     def scipy_modules(tmp_path, *args, config=REPO / "bench" / "configs" / "lattice.yaml"):
-        return run_probe(tmp_path, *args, config=config)
+        return scipy_of(run_probe(tmp_path, *args, config=config))
 
     def test_validate_config_loads_no_scipy(self, tmp_path):
         assert self.scipy_modules(tmp_path, "validate-config") == set()
@@ -690,7 +716,7 @@ class TestScipyLoading:
     def test_stationary_header_loads_no_scipy(self, tmp_path):
         # the header's residual max |pi Q| must not go through GeneratorMatrix.matrix
         lattice = REPO / "bench" / "configs" / "lattice.yaml"
-        assert run_probe(tmp_path, "--block-scipy", "stationary", config=lattice, metadata=True) == set()
+        assert scipy_of(run_probe(tmp_path, "stationary", config=lattice, metadata=True, block="scipy")) == set()
         comments, _, _ = read_report(tmp_path / "out" / "stationary.csv")
         assert any(c.startswith("# stationary_residual:") for c in comments)
 
@@ -701,3 +727,60 @@ class TestScipyLoading:
     def test_uniformization_with_stationary_output_loads_no_stationary_solver(self, tmp_path):
         wellmixed = REPO / "demos" / "configs" / "wellmixed.yaml"
         assert self.scipy_modules(tmp_path, "solve", "--method", "uniformization", config=wellmixed) == set()
+
+
+#: What parsing a config may load: the package, the CLI and the numpy-free model layer.
+PARSER_MODULES = {"retrialsi", "retrialsi.cli", "retrialsi.errors", "retrialsi.model"}
+LATTICE = REPO / "bench" / "configs" / "lattice.yaml"
+
+
+class TestModulesLoaded:
+    """A subcommand loads only the modules it runs."""
+
+    @pytest.mark.parametrize("config", [LATTICE, REPO / "bench" / "configs" / "stationary_n100.yaml",
+                                        REPO / "bench" / "configs" / "mc_n40.yaml",
+                                        REPO / "demos" / "configs" / "wellmixed.yaml"], ids=lambda p: p.name)
+    def test_validate_config_runs_without_numpy(self, tmp_path, config):
+        assert run_probe(tmp_path, "validate-config", config=config, block="numpy") == PARSER_MODULES
+
+    def test_heterogeneous_validate_config_loads_numpy_and_no_solver(self, tmp_path):
+        modules = run_probe(tmp_path, "validate-config", config=REPO / "demos" / "configs" / "heterogeneous.yaml")
+        assert "numpy" in modules  # a contact graph is held as arrays
+        assert {m for m in modules if m.split(".")[0] == "retrialsi"} == PARSER_MODULES
+
+    def test_uniformization_loads_neither_inversion_nor_laplace(self, tmp_path):
+        modules = run_probe(tmp_path, "solve", "--method", "uniformization", config=LATTICE)
+        assert "retrialsi.transient" in modules
+        assert not modules & {"retrialsi.inversion", "retrialsi.laplace"}
+
+    def test_a_numpy_import_in_the_model_layer_fails_the_probe(self, tmp_path):
+        copy = tmp_path / "src"
+        shutil.copytree(SRC / "retrialsi", copy / "retrialsi", ignore=shutil.ignore_patterns("__pycache__"))
+        model = copy / "retrialsi" / "model.py"
+        future = "from __future__ import annotations\n"
+        model.write_text(model.read_text().replace(future, future + "import numpy\n", 1))
+        assert "numpy" in run_probe(tmp_path, "validate-config", config=LATTICE, src=copy)
+        with pytest.raises(subprocess.CalledProcessError):
+            run_probe(tmp_path, "validate-config", config=LATTICE, src=copy, block="numpy")
+
+
+class TestLazyPackage:
+    """The package resolves its exports from their submodules on first use."""
+
+    def test_every_export_resolves(self):
+        assert all(getattr(rs, name) is not None for name in rs.__all__)
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from retrialsi import *", namespace)
+        assert set(rs.__all__) <= namespace.keys()
+
+    def test_dir_lists_every_export(self):
+        assert set(rs.__all__) <= set(dir(rs))
+
+    def test_submodules_resolve(self):
+        assert rs.measures.moment_orbit is rs.moment_orbit
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rs.no_such_name

@@ -21,13 +21,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from retrialsi import cli
+from retrialsi.errors import ConfigError
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 CONTRACT_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC}
@@ -216,3 +218,23 @@ def test_heterogeneous_table_without_valid_pairs_builds_no_fixture(tmp_path, mon
     start = time.perf_counter()
     assert run(["table", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert time.perf_counter() - start < 1.0
+
+
+@CONTRACT_SETTINGS
+@given(st.floats(0.0, 1.0e4), st.integers(0, 2000), st.floats(1.0e-13, 1.0e3), st.floats(0.0, 1.0))
+@example(0.0, 18, 0.5, 0.0)  # the shipped 0..9 grid
+@example(0.1, 3, 0.7, 0.5)  # start below step
+@example(0.5, 10, 1.0e-13, 0.0)  # times 1e-13 apart round to repeats
+def test_range_times_match_numpy(start, count, step, frac):
+    """A {start, stop, step} range parses to np.round(np.arange(start, stop + step / 2, step), 12),
+    bit for bit, and a range that rounds to repeated times, or to none, is refused."""
+    stop = start + (count + frac) * step
+    expected = np.round(np.arange(start, stop + step / 2.0, step), 12)
+    mapping = {"model": {"N": 2, "c": 1, "alpha": 5.0, "mu": 0.4, "theta": 2.0},
+               "times": {"start": start, "stop": stop, "step": step}}
+    if expected.size and np.all(np.diff(expected) > 0):
+        grid = np.array(cli.scenario_from_mapping(mapping).grid())
+        assert np.array_equal(grid, expected) and grid.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ConfigError, match="^times: times must be (a nonempty|strictly increasing)"):
+            cli.scenario_from_mapping(mapping)
