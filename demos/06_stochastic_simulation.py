@@ -33,7 +33,7 @@ p0 = rs.delta_vector(cfg.space, cfg.initial_state)
 print(f"\n{replicas} replicas vs uniformization:")
 print(f"{'t':>5} {'E[I] mc':>9} {'E[I] exact':>11} {'gap/sigma':>10}"
       f" {'E[R] mc':>9} {'E[R] exact':>11} {'gap/sigma':>10}")
-for t, vec in zip(mc.solution.times, mc.solution.vectors):
+for t, vec in zip(mc.times, mc.vectors):
     exact = rs.uniformize(gen, p0, float(t))
     cells = []
     for moment in (rs.moment_recovering, rs.moment_orbit):
@@ -44,6 +44,6 @@ for t, vec in zip(mc.solution.times, mc.solution.vectors):
           f" {cells[3]:9.4f} {cells[4]:11.4f} {cells[5]:10.1f}")
 
 worst = max(float(np.abs(v.values - rs.uniformize(gen, p0, float(t)).values).max())
-            for t, v in zip(mc.solution.times, mc.solution.vectors))
+            for t, v in zip(mc.times, mc.vectors))
 print(f"\nworst per-state deviation: {worst:.4f} "
       f"(binomial noise scale ~ {1 / np.sqrt(replicas):.4f})")

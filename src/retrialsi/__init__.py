@@ -26,8 +26,8 @@ _SUBMODULE_NAMES = {
                  "moment_orbit", "moment_recovering"),
     "model": ("DEFAULT_CHAIN_ORDER", "Closure", "ContactGraph", "Mode", "ModelConfig", "StateSpace",
               "graph_to_text", "load_graph", "rate_function", "ring_with_hub"),
-    "transient": ("MonteCarloResult", "ProbabilityVector", "Trajectory", "TransientSolution",
-                  "delta_vector", "monte_carlo_estimate", "simulate_gillespie", "transient_grid",
+    "transient": ("ProbabilityVector", "Trajectory", "TransientSolution", "delta_vector",
+                  "monte_carlo_estimate", "simulate_gillespie", "standard_errors", "transient_grid",
                   "uniformize"),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}

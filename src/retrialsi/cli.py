@@ -219,9 +219,10 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         _integer(model_map["tagged_node"], "model.tagged_node") if "tagged_node" in model_map
         else (2 if str(model_map.get("mode", "")).lower() == "heterogeneous" else None)
     )
-    with _malformed("model.initial_state"):
-        initial_state = tuple(_integer(v, "model.initial_state")
-                              for v in model_map.get("initial_state", (0, 0)))
+    initial_state = model_map.get("initial_state", (0, 0))
+    if not isinstance(initial_state, (list, tuple)) or len(initial_state) != 2:
+        raise ConfigError(f"model.initial_state: expected a list of two integers, got {initial_state!r}")
+    initial_state = tuple(_integer(v, "model.initial_state") for v in initial_state)
     with _malformed("model"):
         model = ModelConfig(
             N=n_nodes,
@@ -301,8 +302,8 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     with _malformed("sweep.thetas"):
         sweep_thetas = tuple(_number(t, "sweep.thetas")
                              for t in sweep_map.get("thetas", DEFAULT_SWEEP_THETAS))
-    if any(th < 0 for th in sweep_thetas):
-        raise ConfigError("sweep.thetas: must be nonnegative")
+    if not all(0 <= th < math.inf for th in sweep_thetas):  # NaN fails too
+        raise ConfigError(f"sweep.thetas: must be finite and >= 0, got {list(sweep_thetas)}")
 
     raw = {k: v for k, v in mapping.items()}
     raw["solver"] = {**solver_map, "method": method, "seed": solver.seed}
@@ -332,18 +333,14 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
 def _solve_grid(model: ModelConfig, graph, solver: SolverSettings, times) -> TransientSolution:
     """Distribution on a checked time grid under the configured method.
 
-    A leading t = 0 is served directly by the initial distribution (the
-    inverse transform needs t > 0; the other methods accept 0 anyway), so a
-    grid of t = 0 alone runs no inversion.  Its entries in the inversion's
-    per-time metadata lists are 0.0, so each list has one entry per time.
     Only the inversion loads the inversion and Laplace modules.
     """
     from .generator import build_generator
-    from .transient import TransientSolution, delta_vector, monte_carlo_estimate, transient_grid
+    from .transient import delta_vector, monte_carlo_estimate, transient_grid
 
     arrival = rate_function(model, graph)
     if solver.method == "monte_carlo":  # samples from the transition table, not from Q
-        return monte_carlo_estimate(model, arrival, times, solver.replicas, solver.seed).solution
+        return monte_carlo_estimate(model, arrival, times, solver.replicas, solver.seed)
     gen = build_generator(model, arrival)
     p0 = delta_vector(model.space, model.initial_state)
     if solver.method == "uniformization":
@@ -351,16 +348,7 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings, times) -> Tra
 
     from .inversion import transient_via_ilt
 
-    positive = [t for t in times if t > 0]
-    leading = len(times) - len(positive)  # the t = 0 row, if any
-    vectors = [p0] * leading
-    meta = {"method": "ilt", "order": solver.order, "abscissae": 0, "raw_sum_deviation": [], "band_excursion": []}
-    if positive:
-        sol = transient_via_ilt(gen, p0, positive, order=solver.order)
-        vectors, meta = vectors + sol.vectors, sol.metadata
-    for key in ("raw_sum_deviation", "band_excursion"):
-        meta[key] = [0.0] * leading + meta[key]
-    return TransientSolution(times, vectors, meta)
+    return transient_via_ilt(gen, p0, times, order=solver.order)
 
 
 # --- report writing ---------------------------------------------------------

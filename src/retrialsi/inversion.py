@@ -98,10 +98,11 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
                       order: int = DEFAULT_CHAIN_ORDER) -> TransientSolution:
     """Recover P(t) on a time grid from K resolvent solves per point.
 
-    For each t the resolvent is solved at s = k ln 2 / t, k = 1..K, and the
-    solutions are combined with the Stehfest weights.  Pairs (k, t) with the
-    same exact ratio k / t share one solve, at the abscissa of the pair that
-    comes first on the grid; metadata records the number of distinct
+    A leading t = 0 row is ``p0`` itself, neither inverted nor renormalized.
+    For each t > 0 the resolvent is solved at s = k ln 2 / t, k = 1..K, and
+    the solutions are combined with the Stehfest weights.  Pairs (k, t) with
+    the same exact ratio k / t share one solve, at the abscissa of the pair
+    that comes first on the grid; metadata records the number of distinct
     abscissae.  They are solved in ascending order, so every time point adds
     its K terms in k order and the output does not depend on the sweep's
     chunking.  Raw entries must stay within RAW_TOLERANCE_BAND of [0, 1],
@@ -112,34 +113,34 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     orbit moments by an order of magnitude more than the wiggle itself.  Use
     :meth:`ProbabilityVector.clipped` when a strictly nonnegative
     distribution is required.  Metadata records each time point's band
-    excursion and raw mass deviation.
+    excursion and raw mass deviation, 0.0 at t = 0.
     """
     grid = time_grid(times)
-    if grid[0] <= 0:
-        raise DomainError("times must be strictly positive")
+    lead = int(grid[0] == 0)  # the t = 0 row, if any
+    positive = grid[lead:]
 
     v_ext = stehfest_coefficients(order).values_extended
     # With t = num / den, the ratio k / t is k * den / num.  Scaled by 2**bits >= num * num' and
     # floored, it stays exact: equal ratios share a key, and distinct ones keep their order.
-    fractions = [t.as_integer_ratio() for t in grid.tolist()]
-    bits = 2 * max(num.bit_length() for num, _ in fractions)
+    fractions = [t.as_integer_ratio() for t in positive.tolist()]
+    bits = 2 * max((num.bit_length() for num, _ in fractions), default=0)
     keys = np.array([(k * den << bits) // num for num, den in fractions for k in range(1, order + 1)],
                     dtype=object)
     pairs = np.argsort(keys, kind="stable")  # ascending; equal ratios in grid order
-    first = np.r_[True, keys[pairs[1:]] != keys[pairs[:-1]]]
-    columns = np.empty((grid.size, order), dtype=np.intp)
+    first = np.diff(keys[pairs], prepend=-1) != 0  # keys are >= 0, so the first pair starts an abscissa
+    columns = np.empty((positive.size, order), dtype=np.intp)
     columns.flat[pairs] = np.cumsum(first) - 1
     n, k = np.divmod(pairs[first], order)
-    shifts = (k + 1).astype(np.longdouble) * _LN2_EXT / grid[n].astype(np.longdouble)
+    shifts = (k + 1).astype(np.longdouble) * _LN2_EXT / positive[n].astype(np.longdouble)
 
-    acc = np.zeros((grid.size, gen.dim), dtype=np.longdouble)
-    for cols, x in solve_resolvents(gen, shifts, p0.values):
+    acc = np.zeros((positive.size, gen.dim), dtype=np.longdouble)
+    for cols, x in solve_resolvents(gen, shifts, p0.values) if shifts.size else ():
         for k in range(order):
             rows = np.flatnonzero((columns[:, k] >= cols.start) & (columns[:, k] < cols.stop))
             acc[rows] += v_ext[k] * x[columns[rows, k] - cols.start]
         del x  # free this chunk before the sweep of the next one
 
-    acc *= (_LN2_EXT / grid.astype(np.longdouble))[:, None]
+    acc *= (_LN2_EXT / positive.astype(np.longdouble))[:, None]
     raw = acc.astype(float)
     del acc
     low, high = raw.min(axis=1), raw.max(axis=1)
@@ -151,8 +152,8 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
         state = gen.space.state_at(int(worst))
         raise AccuracyError(
             f"inverted probabilities stray {excursion[n]:.3e} outside [0, 1] "
-            f"at t={grid[n]} (state {state}); decrease the step or change order K={order}",
-            t=float(grid[n]), state=state,
+            f"at t={positive[n]} (state {state}); decrease the step or change order K={order}",
+            t=float(positive[n]), state=state,
         )
     totals = raw.sum(axis=1)
     raw /= totals[:, None]
@@ -160,9 +161,8 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
         "method": "ilt",
         "order": order,
         "abscissae": shifts.size,
-        "raw_sum_deviation": (totals - 1.0).tolist(),
-        "band_excursion": excursion.tolist(),
+        "raw_sum_deviation": [0.0] * lead + (totals - 1.0).tolist(),
+        "band_excursion": [0.0] * lead + excursion.tolist(),
     }
-    vectors = [ProbabilityVector(row, p0.t + t, gen.space)
-               for t, row in zip(grid.tolist(), raw)]
+    vectors = [p0] * lead + [ProbabilityVector(row, p0.t + t, gen.space) for t, row in zip(positive.tolist(), raw)]
     return TransientSolution(grid, vectors, meta)

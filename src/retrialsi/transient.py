@@ -7,7 +7,9 @@ checked against.  One stepping loop serves a single time (:func:`uniformize`)
 and a grid (:func:`transient_grid`): it bounds Lambda * t_max and builds U once
 per grid, then steps interval by interval.  Gillespie sampling provides a
 third, statistical route; it takes the arrival rate of every state as one array, as
-:func:`.model.rate_function` returns it.  No route loads scipy.
+:func:`.model.rate_function` returns it.  Every grid route takes any grid that
+:func:`.model.checked_times` accepts and returns a :class:`TransientSolution`;
+:func:`standard_errors` reads a Monte Carlo one.  No route loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -286,21 +287,8 @@ def simulate_gillespie(cfg: ModelConfig, arrival: np.ndarray, horizon: float,
     return Trajectory(np.array(times), states, horizon, seed)
 
 
-@dataclass(frozen=True, eq=False)
-class MonteCarloResult:
-    """Empirical transient distribution of ``replicas`` paths, with per-entry binomial standard errors."""
-
-    solution: TransientSolution
-    replicas: int
-
-    @cached_property
-    def standard_errors(self) -> list[np.ndarray]:
-        """sqrt(p (1 - p) / replicas) per time and state, computed on first read."""
-        return [np.sqrt(v.values * (1.0 - v.values) / self.replicas) for v in self.solution.vectors]
-
-
 def monte_carlo_estimate(cfg: ModelConfig, arrival: np.ndarray, times,
-                         replicas: int, seed: int) -> MonteCarloResult:
+                         replicas: int, seed: int) -> TransientSolution:
     """Estimate the state distribution at each grid time from ``replicas`` paths.
 
     All replicas advance in lockstep; at each requested time the residual
@@ -314,7 +302,8 @@ def monte_carlo_estimate(cfg: ModelConfig, arrival: np.ndarray, times,
     starts.  A mover's slot counts its cumulative rates below the uniform
     draw; rows are nondecreasing and end in their total, so all but the
     last column need a compare.  The metadata counts the jumps taken
-    (``events``) and the lockstep rounds (``rounds``).
+    (``events``) and the lockstep rounds (``rounds``), and holds the
+    ``replicas`` that :func:`standard_errors` reads.
     """
     if replicas < MIN_REPLICAS:
         raise DomainError(f"replicas must be >= {MIN_REPLICAS}, got {replicas}")
@@ -362,4 +351,12 @@ def monte_carlo_estimate(cfg: ModelConfig, arrival: np.ndarray, times,
         "events": events,
         "rounds": rounds,
     }
-    return MonteCarloResult(TransientSolution(grid, vectors, meta), replicas)
+    return TransientSolution(grid, vectors, meta)
+
+
+def standard_errors(solution: TransientSolution) -> list[np.ndarray]:
+    """sqrt(p (1 - p) / replicas) per time and state of a Monte Carlo ``solution``."""
+    replicas = solution.metadata.get("replicas")
+    if replicas is None:
+        raise DomainError("standard errors need a Monte Carlo solution, whose metadata holds its replicas")
+    return [np.sqrt(v.values * (1.0 - v.values) / replicas) for v in solution.vectors]

@@ -194,7 +194,7 @@ def test_criterion_monte_carlo_consistency():
                                  replicas, seed=20260810)
     all_ok = True
     details = []
-    for t, vec in zip(mc.solution.times, mc.solution.vectors):
+    for t, vec in zip(mc.times, mc.vectors):
         oracle = rs.uniformize(gen, p0, float(t))
         for label, moment in (("E_I", rs.moment_recovering), ("E_R", rs.moment_orbit)):
             sigma = math.sqrt((moment(oracle, 2) - moment(oracle) ** 2) / replicas)

@@ -115,7 +115,7 @@ class TestSolve:
         self.assert_methods_agree(tmp_path, "[0.5, 2.0, 5.0]")
 
     def test_methods_agree_at_time_zero_only(self, tmp_path):
-        # the inverse transform needs t > 0; t = 0 is the initial distribution
+        # t = 0 is the initial distribution under every route
         self.assert_methods_agree(tmp_path, "[0.0]")
 
     @pytest.mark.parametrize("method", cli.METHODS)
@@ -276,14 +276,19 @@ class TestExitCodes:
         (MODEL_YAML + "times: [true, 2.0]\n", (), "times"),
         (MODEL_YAML + "times: {start: false, stop: 1, step: 0.5}\n", (), "times.start"),
         (MODEL_YAML + "sweep: {thetas: [true, 0]}\n", (), "sweep.thetas"),
+        (MODEL_YAML + "sweep: {thetas: [.nan]}\n", (), "sweep.thetas"),
+        (MODEL_YAML + "sweep: {thetas: [.inf]}\n", (), "sweep.thetas"),
         ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, initial_state: [1.5, 0]}\n", (),
          "model.initial_state"),
         ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, initial_state: [true, 0]}\n", (),
          "model.initial_state"),
+        ("model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, initial_state: \"13\"}\n", (),
+         "model.initial_state"),
     ], ids=["infinite_alpha", "nan_mu", "infinite_theta", "negative_seed", "negative_seed_flag",
             "fractional_N", "bool_N", "fractional_replicas", "fractional_table_c", "tiny_step",
             "bool_alpha", "bool_theta", "bool_time", "bool_range_start", "bool_sweep_theta",
-            "fractional_initial_state", "bool_initial_state"])
+            "nan_sweep_theta", "infinite_sweep_theta", "fractional_initial_state", "bool_initial_state",
+            "string_initial_state"])
     def test_unusable_value_fails_validation_and_every_method(self, tmp_path, capsys,
                                                                body, flags, key):
         path = tmp_path / "cfg.yaml"

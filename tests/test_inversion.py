@@ -220,6 +220,36 @@ class TestTransientViaIlt:
             rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [2.0])
 
     def test_grid_validation(self, wellmixed_generator, wellmixed_p0):
-        for bad in ([], [0.0, 1.0], [-1.0], [2.0, 1.0]):
+        for bad in ([], [-1.0], [2.0, 1.0]):
             with pytest.raises(DomainError):
                 rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, bad)
+
+    def test_leading_zero_is_the_initial_distribution(self, wellmixed_generator, wellmixed_p0):
+        # t = 0 is p0 itself, neither inverted nor renormalized; the positive times are solved as without it
+        positive = [0.5, 2.0, 5.0]
+        sol = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [0.0, *positive])
+        alone = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, positive)
+        assert sol.vectors[0].t == 0.0
+        np.testing.assert_array_equal(sol.vectors[0].values, wellmixed_p0.values)
+        for got, want in zip(sol.vectors[1:], alone.vectors, strict=True):
+            assert got.t == want.t
+            np.testing.assert_array_equal(got.values, want.values)
+        assert sol.metadata["abscissae"] == alone.metadata["abscissae"]
+        for key in ("band_excursion", "raw_sum_deviation"):
+            assert sol.metadata[key] == [0.0] + alone.metadata[key], key
+
+    def test_time_zero_alone_runs_no_sweep(self, wellmixed_generator, wellmixed_p0, monkeypatch):
+        # not even an empty one, which would still build the longdouble Q and its level rates
+        calls = []
+        monkeypatch.setattr(inversion, "solve_resolvents", lambda *args: calls.append(args) or iter(()))
+        sol = rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [0.0])
+        assert calls == []
+        np.testing.assert_array_equal(sol.vectors[0].values, wellmixed_p0.values)
+        assert sol.metadata["abscissae"] == 0
+        assert (sol.metadata["band_excursion"], sol.metadata["raw_sum_deviation"]) == ([0.0], [0.0])
+
+    def test_accuracy_error_names_a_positive_time_after_a_leading_zero(self, wellmixed_generator, wellmixed_p0):
+        # at K = 4, t = 2 stays in the band and t = 5 strays
+        with pytest.raises(AccuracyError) as err:
+            rs.transient_via_ilt(wellmixed_generator, wellmixed_p0, [0.0, 2.0, 5.0], order=4)
+        assert err.value.t == 5.0

@@ -288,20 +288,20 @@ class TestMonteCarlo:
     def test_time_zero_is_point_mass(self, wellmixed_config):
         rate = rs.rate_function(wellmixed_config)
         mc = rs.monte_carlo_estimate(wellmixed_config, rate, [0.0, 1.0], 1000, seed=1)
-        first = mc.solution.vectors[0]
+        first = mc.vectors[0]
         assert first.values[wellmixed_config.space.index(0, 0)] == 1.0
         assert first.total == 1.0
 
     def test_counts_are_exactly_normalized(self, wellmixed_config):
         rate = rs.rate_function(wellmixed_config)
         mc = rs.monte_carlo_estimate(wellmixed_config, rate, [2.0], 2000, seed=9)
-        assert mc.solution.vectors[0].total == pytest.approx(1.0, abs=1e-15)
+        assert mc.vectors[0].total == pytest.approx(1.0, abs=1e-15)
 
     def test_seed_determinism(self, wellmixed_config):
         rate = rs.rate_function(wellmixed_config)
         a = rs.monte_carlo_estimate(wellmixed_config, rate, [1.0, 3.0], 2000, seed=4)
         b = rs.monte_carlo_estimate(wellmixed_config, rate, [1.0, 3.0], 2000, seed=4)
-        for va, vb in zip(a.solution.vectors, b.solution.vectors):
+        for va, vb in zip(a.vectors, b.vectors):
             np.testing.assert_array_equal(va.values, vb.values)
 
     def test_agrees_with_uniformization(self, wellmixed_config, wellmixed_generator, wellmixed_p0):
@@ -312,7 +312,7 @@ class TestMonteCarlo:
         for moment in (rs.moment_recovering, rs.moment_orbit):
             var = (moment(exact, 2) - moment(exact) ** 2)
             se = math.sqrt(var / replicas)
-            assert abs(moment(mc.solution.vectors[0]) - moment(exact)) <= 3 * se
+            assert abs(moment(mc.vectors[0]) - moment(exact)) <= 3 * se
 
     def test_replica_floor(self, wellmixed_config):
         with pytest.raises(DomainError):
@@ -321,10 +321,16 @@ class TestMonteCarlo:
     def test_standard_errors_shape(self, wellmixed_config):
         rate = rs.rate_function(wellmixed_config)
         mc = rs.monte_carlo_estimate(wellmixed_config, rate, [1.0, 2.0], 1000, seed=2)
-        assert len(mc.standard_errors) == 2
-        assert mc.standard_errors[0].shape == (wellmixed_config.space.size,)
-        assert mc.solution.metadata["rng"] == "pcg64"
-        assert mc.solution.metadata["method"] == "monte_carlo"
+        errors = rs.standard_errors(mc)
+        assert len(errors) == 2
+        assert errors[0].shape == (wellmixed_config.space.size,)
+        assert mc.metadata["rng"] == "pcg64"
+        assert mc.metadata["method"] == "monte_carlo"
+
+    def test_standard_errors_need_a_sampled_solution(self, wellmixed_generator, wellmixed_p0):
+        exact = rs.transient_grid(wellmixed_generator, wellmixed_p0, [1.0])
+        with pytest.raises(DomainError, match="replicas"):
+            rs.standard_errors(exact)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
@@ -333,9 +339,9 @@ class TestMonteCarlo:
         times = [0.0, 0.5, 1.0, 3.0, 7.0]
         mc = rs.monte_carlo_estimate(cfg, rate, times, 3000, seed)
         vectors, errors = lockstep_reference(cfg, rate, times, 3000, seed)
-        for got, want in zip(mc.solution.vectors, vectors):
+        for got, want in zip(mc.vectors, vectors):
             np.testing.assert_array_equal(got.values, want)
-        for got, want in zip(mc.standard_errors, errors):
+        for got, want in zip(rs.standard_errors(mc), errors):
             np.testing.assert_array_equal(got, want)
 
     def test_tied_draws_pick_the_reference_slot(self, monkeypatch):
@@ -368,15 +374,15 @@ class TestMonteCarlo:
         times = [0.5, 1.0, 3.0]
         mc = rs.monte_carlo_estimate(cfg, rate, times, 2000, seed=3)
         vectors, _ = lockstep_reference(cfg, rate, times, 2000, seed=3)
-        for got, want in zip(mc.solution.vectors, vectors):
+        for got, want in zip(mc.vectors, vectors):
             np.testing.assert_array_equal(got.values, want)
 
     def test_work_counts(self, wellmixed_config):
         rate = rs.rate_function(wellmixed_config)
         idle = rs.monte_carlo_estimate(wellmixed_config, rate, [0.0], 1000, seed=1)
-        assert (idle.solution.metadata["events"], idle.solution.metadata["rounds"]) == (0, 0)
+        assert (idle.metadata["events"], idle.metadata["rounds"]) == (0, 0)
         grid = [0.0, 0.5, 1.0, 3.0, 7.0]
-        runs = [rs.monte_carlo_estimate(wellmixed_config, rate, grid, 2000, seed=s).solution.metadata
+        runs = [rs.monte_carlo_estimate(wellmixed_config, rate, grid, 2000, seed=s).metadata
                 for s in (5, 5, 6)]
         assert runs[0]["events"] > 0 and runs[0]["rounds"] > 0
         assert (runs[0]["events"], runs[0]["rounds"]) == (runs[1]["events"], runs[1]["rounds"])
