@@ -15,8 +15,8 @@ import retrialsi as rs
 from retrialsi.laplace import solve_resolvents
 
 weights = rs.stehfest_coefficients(14)
-print(f"order 14 weights: min {weights.values.min():.3e}, max {weights.values.max():.3e}, "
-      f"sum {weights.values.sum():.1e}")
+rounded = weights.astype(float)
+print(f"order 14 weights: min {rounded.min():.3e}, max {rounded.max():.3e}, sum {rounded.sum():.1e}")
 
 print("\nknown transform pairs (K = 14):")
 pairs = [

@@ -376,9 +376,8 @@ def _metadata(scenario: ScenarioConfig, command: str) -> dict:
     return meta
 
 
-@contextmanager
-def _report_file(path: Path, meta: dict | None, comments=()):
-    """Open one report for writing, its ``# key: value`` header already written."""
+def _write_csv(path: Path, columns, rows, meta: dict | None, comments=()):
+    """Write one report: its ``# key: value`` header and ``# comment`` lines, then the CSV table."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as f:
@@ -386,16 +385,11 @@ def _report_file(path: Path, meta: dict | None, comments=()):
                 f.write(f"# {key}: {value}\n")
             for line in comments:
                 f.write(f"# {line}\n")
-            yield f
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {path}: {exc}") from exc
-
-
-def _write_csv(path: Path, columns, rows, meta: dict | None, comments=()):
-    with _report_file(path, meta, comments) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
     return path
 
 
@@ -423,16 +417,14 @@ def _write_state_probs(scenario, sol, out_dir, meta):
 def _write_marginals(scenario, sol, out_dir, meta, prefix="marginals"):
     from .measures import marginal_orbit, marginal_recovering
 
-    rec_rows, orb_rows = [], []
-    for t, vec in zip(sol.times, sol.vectors):
-        for i, p in enumerate(marginal_recovering(vec)):
-            rec_rows.append((_fmt(t), i, _fmt(p)))
-        for j, p in enumerate(marginal_orbit(vec)):
-            orb_rows.append((_fmt(t), j, _fmt(p)))
-    return [
-        _write_csv(out_dir / f"{prefix}_recovering.csv", ("t", "i", "probability"), rec_rows, meta),
-        _write_csv(out_dir / f"{prefix}_orbit.csv", ("t", "j", "probability"), orb_rows, meta),
-    ]
+    paths = []
+    for marginal, name, level in ((marginal_recovering, "recovering", "i"), (marginal_orbit, "orbit", "j")):
+        rows = itertools.chain.from_iterable(
+            zip(itertools.repeat(repr(t)), itertools.count(), map(repr, marginal(vec).tolist()))
+            for t, vec in zip(sol.times.tolist(), sol.vectors)
+        )
+        paths.append(_write_csv(out_dir / f"{prefix}_{name}.csv", ("t", level, "probability"), rows, meta))
+    return paths
 
 
 def _first_moments(sol: TransientSolution):
@@ -563,10 +555,8 @@ def _write_trajectory(scenario, out_dir, meta):
     )
     if meta is not None:
         meta = {**meta, "rng": trajectory.rng}
-    path = out_dir / "trajectory.csv"
-    with _report_file(path, meta) as f:
-        trajectory.write_csv(f)
-    return [path]
+    rows = zip(map(repr, trajectory.times.tolist()), *trajectory.states.T.tolist())
+    return [_write_csv(out_dir / "trajectory.csv", ("time", "i", "j"), rows, meta)]
 
 
 #: Reports written from the transient solution on the scenario's time grid.

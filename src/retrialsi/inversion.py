@@ -20,7 +20,6 @@ grid once, all of them in one batched level sweep
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,22 +40,6 @@ _LN2 = math.log(2.0)
 _LN2_EXT = np.log(np.longdouble(2.0))
 
 
-@dataclass(frozen=True, eq=False)
-class StehfestWeights:
-    """Inversion weights of even order K.
-
-    ``values`` is the double rounding of the exact weights;
-    ``values_extended`` carries them split to extended precision.
-    """
-
-    values: np.ndarray
-    values_extended: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.values_extended.setflags(write=False)
-
-
 def _exact_weights(order: int) -> list[Fraction]:
     half = order // 2
     weights = []
@@ -72,24 +55,29 @@ def _exact_weights(order: int) -> list[Fraction]:
     return weights
 
 
-def stehfest_coefficients(order: int = DEFAULT_ORDER) -> StehfestWeights:
-    """Compute the order-K weights exactly, then round once."""
+def stehfest_coefficients(order: int = DEFAULT_ORDER) -> np.ndarray:
+    """The order-K weights as a read-only longdouble array.
+
+    Each weight is computed exactly, rounded once to double, and carried with
+    the exact remainder of that rounding; ``astype(float)`` recovers the
+    double rounding.
+    """
     if order % 2 != 0 or not K_MIN <= order <= K_MAX:
         raise DomainError(f"order must be even and in [{K_MIN}, {K_MAX}], got {order}")
     exact = _exact_weights(order)
-    values = np.array([float(v) for v in exact])
-    # exact remainder of each weight's double rounding
-    remainders = np.array([float(v - Fraction(hi)) for v, hi in zip(exact, values.tolist())])
-    extended = values.astype(np.longdouble) + remainders.astype(np.longdouble)
-    return StehfestWeights(values, extended)
+    rounded = [float(v) for v in exact]
+    remainders = [float(v - Fraction(hi)) for v, hi in zip(exact, rounded)]
+    weights = np.array(rounded, dtype=np.longdouble) + np.array(remainders, dtype=np.longdouble)
+    weights.setflags(write=False)
+    return weights
 
 
-def invert_at(transform, t: float, weights: StehfestWeights) -> float:
-    """Invert a scalar transform at one time point."""
-    if t <= 0:
-        raise DomainError(f"t must be > 0, got {t}")
+def invert_at(transform, t: float, weights: np.ndarray) -> float:
+    """Invert a scalar transform at one time point with :func:`stehfest_coefficients` weights."""
+    if not 0 < t < math.inf:  # NaN fails too
+        raise DomainError(f"t must be finite and > 0, got {t}")
     acc = 0.0
-    for k, v in enumerate(weights.values, start=1):
+    for k, v in enumerate(weights.astype(float), start=1):
         acc += v * transform(k * _LN2 / t)
     return (_LN2 / t) * acc
 
@@ -119,7 +107,7 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     lead = int(grid[0] == 0)  # the t = 0 row, if any
     positive = grid[lead:]
 
-    v_ext = stehfest_coefficients(order).values_extended
+    weights = stehfest_coefficients(order)
     # With t = num / den, the ratio k / t is k * den / num.  Scaled by 2**bits >= num * num' and
     # floored, it stays exact: equal ratios share a key, and distinct ones keep their order.
     fractions = [t.as_integer_ratio() for t in positive.tolist()]
@@ -137,7 +125,7 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     for cols, x in solve_resolvents(gen, shifts, p0.values) if shifts.size else ():
         for k in range(order):
             rows = np.flatnonzero((columns[:, k] >= cols.start) & (columns[:, k] < cols.stop))
-            acc[rows] += v_ext[k] * x[columns[rows, k] - cols.start]
+            acc[rows] += weights[k] * x[columns[rows, k] - cols.start]
         del x  # free this chunk before the sweep of the next one
 
     acc *= (_LN2_EXT / positive.astype(np.longdouble))[:, None]

@@ -136,11 +136,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def write_csv(self, fileobj) -> None:
-        fileobj.write("time,i,j\n")
-        for t, (i, j) in zip(self.times.tolist(), self.states.tolist()):
-            fileobj.write(f"{t!r},{i},{j}\n")
-
 
 def _poisson_weights(q: float, eps: float) -> np.ndarray:
     """Poisson(q) pmf on 0..n*, n* chosen so the truncated tail is < eps.
@@ -163,8 +158,9 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
 
 
 def _uniformize_grid(gen: GeneratorMatrix, p0: ProbabilityVector, grid: np.ndarray, eps: float):
-    """``p0`` stepped to each time of the increasing, validated ``grid`` in turn, with Lambda and the
-    number of products U^T v taken; Lambda, its bound, U's diagonals and the buffers are set up once."""
+    """``p0`` stepped to each time t of the increasing, validated ``grid`` in turn and stamped ``p0.t + t``,
+    with Lambda and the number of products U^T v taken; Lambda, its bound, U's diagonals and the buffers
+    are set up once."""
     if not 0 < eps <= EPS_MAX:
         raise DomainError(f"eps must lie in (0, {EPS_MAX:g}], got {eps}")
     v = np.array(p0.values, dtype=float)
@@ -181,7 +177,7 @@ def _uniformize_grid(gen: GeneratorMatrix, p0: ProbabilityVector, grid: np.ndarr
                 key=lambda diagonal: -diagonal[0])
     after, term = np.empty_like(v), np.empty_like(v)
     steps = ((transposed_product(ut, v, after, term), after), (transposed_product(ut, after, v, term), v))
-    vectors, out_t, prev_t, products = [], p0.t, 0.0, 0
+    vectors, prev_t, products = [], 0.0, 0
     for t in grid.tolist():
         weights = _poisson_weights(lam * (t - prev_t), eps)
         acc = weights[0] * v
@@ -189,8 +185,8 @@ def _uniformize_grid(gen: GeneratorMatrix, p0: ProbabilityVector, grid: np.ndarr
             stepped.fill(0.0)
             acc += np.multiply(w, step(), out=term)
         v[:] = acc
-        out_t, prev_t, products = out_t + (t - prev_t), t, products + weights.size - 1
-        vectors.append(ProbabilityVector(acc, out_t, p0.space or gen.space))
+        prev_t, products = t, products + weights.size - 1
+        vectors.append(ProbabilityVector(acc, p0.t + t, p0.space or gen.space))
     return vectors, lam, products
 
 

@@ -518,6 +518,16 @@ class TestOtherCommands:
         assert body1 == (out2 / "trajectory.csv").read_bytes()
         assert body1.startswith(b"time,i,j\n0.0,0,0\n")
 
+    def test_simulate_csv_dump(self, tmp_path):
+        # one row per state of the path simulate_gillespie samples with the config's seed up to its last time
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--no-metadata"]) == 0
+        model = cli.load_scenario(cfg).model
+        traj = rs.simulate_gillespie(model, rs.rate_function(model), 5.0, 42)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert lines[:2] == ["time,i,j", "0.0,0,0"]
+        assert lines[1:] == [f"{t!r},{i},{j}" for t, (i, j) in zip(traj.times.tolist(), traj.states.tolist())]
+
     def test_validate_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["validate-config", "--config", cfg]) == 0

@@ -103,7 +103,8 @@ def test_generator_simulator_and_oracle_agree(model, t):
 @given(models(max_n=12), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5, unique=True).map(sorted),
        st.floats(0.0, 100.0))
 def test_grid_equals_chained_uniformize(model, times, start):
-    # one stepping loop: a grid is the chain of its intervals, bit for bit, timestamps included
+    # one stepping loop: a grid is the chain of its intervals, bit for bit; a vector's stamp is
+    # start + t_k, as the inversion's is, not the chain's running sum of interval lengths
     cfg, graph = model
     gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
     previous = rs.ProbabilityVector(rs.delta_vector(cfg.space, cfg.initial_state).values, start, cfg.space)
@@ -111,7 +112,7 @@ def test_grid_equals_chained_uniformize(model, times, start):
     for vector, t, before in zip(sol.vectors, times, [0.0, *times]):
         previous = rs.uniformize(gen, previous, t - before)
         assert np.array_equal(vector.values, previous.values)
-        assert vector.t == previous.t
+        assert vector.t == start + t
 
 
 @PROPERTY_SETTINGS

@@ -206,16 +206,6 @@ class TestGillespie:
         with pytest.raises(DomainError, match="finite"):
             rs.simulate_gillespie(wellmixed_config, rs.rate_function(wellmixed_config), horizon, 1)
 
-    def test_csv_dump(self, wellmixed_config, tmp_path):
-        traj = rs.simulate_gillespie(wellmixed_config, rs.rate_function(wellmixed_config), 2.0, 5)
-        out = tmp_path / "traj.csv"
-        with open(out, "w") as f:
-            traj.write_csv(f)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "time,i,j"
-        assert len(lines) - 1 == len(traj)
-        assert lines[1] == "0.0,0,0"
-
 
 def lockstep_reference(cfg, arrival, times, replicas, seed):
     """Reference lockstep loop that rescans every replica's clock in each round.
