@@ -19,7 +19,7 @@ _SUBMODULE_NAMES = {
     "errors": ("AccuracyError", "ConfigError", "DomainError", "GraphFormatError", "ModelError",
                "NumericalError", "RetrialSIError"),
     "generator": ("GeneratorMatrix", "ValidationReport", "build_generator", "validate_generator"),
-    "inversion": ("DEFAULT_ORDER", "invert_at", "stehfest_coefficients", "transient_via_ilt"),
+    "inversion": ("invert_at", "stehfest_coefficients", "transient_via_ilt"),
     "laplace": ("stationary_nullspace",),
     "measures": ("MarginalReport", "marginal_orbit", "marginal_recovering", "marginal_report",
                  "moment_orbit", "moment_recovering"),

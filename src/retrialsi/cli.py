@@ -404,17 +404,17 @@ def _state_columns(space):
     return [column.tolist() for column in np.divmod(np.arange(space.size), space.width)]
 
 
-def _write_state_probs(scenario, sol, out_dir, meta):
+def _write_state_probs(scenario, out_dir, meta, kind, sol):
     # one row per (t, state), built without a Python call per state
     i, j = _state_columns(scenario.model.space)
     rows = itertools.chain.from_iterable(
         zip(itertools.repeat(repr(t)), i, j, map(repr, vec.values.tolist()))
         for t, vec in zip(sol.times.tolist(), sol.vectors)
     )
-    return [_write_csv(out_dir / "state_probs.csv", ("t", "i", "j", "probability"), rows, meta)]
+    return [_write_csv(out_dir / f"{kind}.csv", ("t", "i", "j", "probability"), rows, meta)]
 
 
-def _write_marginals(scenario, sol, out_dir, meta, prefix="marginals"):
+def _write_marginals(scenario, out_dir, meta, kind, sol):
     from .measures import marginal_orbit, marginal_recovering
 
     paths = []
@@ -423,7 +423,7 @@ def _write_marginals(scenario, sol, out_dir, meta, prefix="marginals"):
             zip(itertools.repeat(repr(t)), itertools.count(), map(repr, marginal(vec).tolist()))
             for t, vec in zip(sol.times.tolist(), sol.vectors)
         )
-        paths.append(_write_csv(out_dir / f"{prefix}_{name}.csv", ("t", level, "probability"), rows, meta))
+        paths.append(_write_csv(out_dir / f"{kind}_{name}.csv", ("t", level, "probability"), rows, meta))
     return paths
 
 
@@ -434,12 +434,12 @@ def _first_moments(sol: TransientSolution):
     return [(t, moment_recovering(vec), moment_orbit(vec)) for t, vec in zip(sol.times.tolist(), sol.vectors)]
 
 
-def _write_moments(scenario, sol, out_dir, meta, name="moments.csv"):
+def _write_moments(scenario, out_dir, meta, kind, sol):
     rows = [tuple(map(_fmt, moments)) for moments in _first_moments(sol)]
-    return [_write_csv(out_dir / name, ("t", "E_I", "E_R"), rows, meta)]
+    return [_write_csv(out_dir / f"{kind}.csv", ("t", "E_I", "E_R"), rows, meta)]
 
 
-def _write_stationary(scenario, out_dir, meta):
+def _write_stationary(scenario, out_dir, meta, kind, sol):
     import numpy as np
 
     from .generator import build_generator, transposed_product
@@ -451,7 +451,7 @@ def _write_stationary(scenario, out_dir, meta):
         residual = transposed_product(gen.csr.diagonals(), pi.values, np.zeros(gen.dim))()
         meta = {**meta, "stationary_residual": float(np.abs(residual).max())}
     rows = zip(*_state_columns(scenario.model.space), map(repr, pi.values.tolist()))
-    return [_write_csv(out_dir / "stationary.csv", ("i", "j", "probability"), rows, meta)]
+    return [_write_csv(out_dir / f"{kind}.csv", ("i", "j", "probability"), rows, meta)]
 
 
 def _table_cells(scenario: ScenarioConfig):
@@ -473,7 +473,7 @@ def _table_cells(scenario: ScenarioConfig):
     return cells
 
 
-def _write_table(scenario, out_dir, meta):
+def _write_table(scenario, out_dir, meta, kind, sol):
     if scenario.model.mode is Mode.HETEROGENEOUS and meta is not None:
         meta = {**meta, "heterogeneous_fixture": "ring_with_hub(N)"}
     cells = _table_cells(scenario)
@@ -488,13 +488,11 @@ def _write_table(scenario, out_dir, meta):
                 if cell is not None:
                     tidy_rows.append((n, c, _fmt(t), _fmt(cell[0]), _fmt(cell[1])))
             rounded_rows.append(row)
-    paths = [
-        _write_csv(out_dir / "table_grid.csv", columns, rounded_rows, meta),
-        _write_csv(out_dir / "table_grid_unrounded.csv",
-                   ("N", "c", "t", "E_I", "E_R"), tidy_rows, meta),
+    return [
+        _write_csv(out_dir / f"{kind}.csv", columns, rounded_rows, meta),
+        _write_csv(out_dir / f"{kind}_unrounded.csv", ("N", "c", "t", "E_I", "E_R"), tidy_rows, meta),
+        _write_match_report(scenario, cells, out_dir, meta),
     ]
-    paths.append(_write_match_report(scenario, cells, out_dir, meta))
-    return paths
 
 
 def _write_match_report(scenario, cells, out_dir, meta):
@@ -522,7 +520,7 @@ def _write_match_report(scenario, cells, out_dir, meta):
                       rows, meta, comments=comments)
 
 
-def _write_sweep(scenario, out_dir, meta):
+def _write_sweep(scenario, out_dir, meta, kind, sol):
     thetas = list(dict.fromkeys(scenario.sweep_thetas))
     dupes = [th for k, th in enumerate(scenario.sweep_thetas) if th in scenario.sweep_thetas[:k]]
     if dupes:
@@ -543,7 +541,7 @@ def _write_sweep(scenario, out_dir, meta):
     return paths
 
 
-def _write_trajectory(scenario, out_dir, meta):
+def _write_trajectory(scenario, out_dir, meta, kind, sol):
     from .transient import simulate_gillespie
 
     horizon = max(scenario.grid())
@@ -556,8 +554,21 @@ def _write_trajectory(scenario, out_dir, meta):
     if meta is not None:
         meta = {**meta, "rng": trajectory.rng}
     rows = zip(map(repr, trajectory.times.tolist()), *trajectory.states.T.tolist())
-    return [_write_csv(out_dir / "trajectory.csv", ("time", "i", "j"), rows, meta)]
+    return [_write_csv(out_dir / f"{kind}.csv", ("time", "i", "j"), rows, meta)]
 
+
+#: Each report kind's ``writer(scenario, out_dir, meta, kind, sol)``, which names its files after ``kind``.
+_WRITERS = {
+    "state_probs": _write_state_probs,
+    "marginals": _write_marginals,
+    "moments": _write_moments,
+    "timeseries_marginals": _write_marginals,
+    "timeseries_moments": _write_moments,
+    "stationary": _write_stationary,
+    "table_grid": _write_table,
+    "theta_sweep": _write_sweep,
+    "trajectory": _write_trajectory,
+}
 
 #: Reports written from the transient solution on the scenario's time grid.
 _SOLUTION_REPORTS = {"state_probs", "marginals", "moments", "timeseries_marginals",
@@ -571,20 +582,7 @@ def run_scenario(scenario: ScenarioConfig, out_dir, no_metadata=False, command="
     sol = None
     if _SOLUTION_REPORTS & set(scenario.outputs):
         sol = _solve_grid(scenario.model, scenario.graph, scenario.solver, scenario.grid())
-    writers = {
-        "state_probs": lambda: _write_state_probs(scenario, sol, out_dir, meta),
-        "marginals": lambda: _write_marginals(scenario, sol, out_dir, meta),
-        "moments": lambda: _write_moments(scenario, sol, out_dir, meta),
-        "timeseries_marginals": lambda: _write_marginals(
-            scenario, sol, out_dir, meta, prefix="timeseries_marginals"),
-        "timeseries_moments": lambda: _write_moments(
-            scenario, sol, out_dir, meta, name="timeseries_moments.csv"),
-        "stationary": lambda: _write_stationary(scenario, out_dir, meta),
-        "table_grid": lambda: _write_table(scenario, out_dir, meta),
-        "theta_sweep": lambda: _write_sweep(scenario, out_dir, meta),
-        "trajectory": lambda: _write_trajectory(scenario, out_dir, meta),
-    }
-    return [path for kind in scenario.outputs for path in writers[kind]()]
+    return [path for kind in scenario.outputs for path in _WRITERS[kind](scenario, out_dir, meta, kind, sol)]
 
 
 # --- command handlers --------------------------------------------------------

@@ -275,7 +275,7 @@ class ValidationReport:
     def summary(self) -> str:
         status = "pass" if self.ok else "FAIL"
         parts = [f"{status}: max |row sum| = {self.max_abs_row_sum:.3e}"]
-        kinds = ((self.row_sum_violations, "row sums off, in rows"),
+        kinds = ((self.row_sum_violations, "rows not conservative, in rows"),
                  (self.negative_off_diagonal, "negative off-diagonal rates, at"),
                  (self.off_stencil, "off-stencil transitions, at"))
         for found, what in kinds:  # the count and the first SUMMARY_SHOWN of each kind
@@ -348,12 +348,8 @@ def level_rates(gen: GeneratorMatrix):
     if space is None:
         raise ModelError("generator has no attached state space")
     report, family = _validate(gen)
-    faults = ((report.off_stencil, "transitions off the lattice stencil"),
-              (report.row_sum_violations, f"rows not conservative (|row sum| > {report.tolerance:.1e})"),
-              (report.negative_off_diagonal, "negative off-diagonal rates"))
-    for found, what in faults:
-        if found:
-            raise ModelError(f"generator has {len(found)} {what}, the first at {found[0]}")
+    if not report.ok:
+        raise ModelError(f"generator fails validation: {report.summary()}")
     q, on = gen.csr, family >= 0
     # rate of family f into state t at [f * dim + t], duplicate entries summed as in toarray()
     by_target = np.bincount(family[on] * gen.dim + q.indices[on], q.data[on], minlength=4 * gen.dim)

@@ -27,11 +27,8 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .generator import GeneratorMatrix
 from .laplace import solve_resolvents
-from .model import DEFAULT_CHAIN_ORDER, K_MAX, K_MIN
-from .transient import ProbabilityVector, TransientSolution, time_grid
-
-#: Default order for generic scalar transforms.
-DEFAULT_ORDER = 14
+from .model import DEFAULT_CHAIN_ORDER, K_MAX, K_MIN, checked_times
+from .transient import ProbabilityVector, TransientSolution
 
 #: Raw inversion output may stray this far outside [0, 1] before it is an error.
 RAW_TOLERANCE_BAND = 1e-4
@@ -55,7 +52,7 @@ def _exact_weights(order: int) -> list[Fraction]:
     return weights
 
 
-def stehfest_coefficients(order: int = DEFAULT_ORDER) -> np.ndarray:
+def stehfest_coefficients(order: int) -> np.ndarray:
     """The order-K weights as a read-only longdouble array.
 
     Each weight is computed exactly, rounded once to double, and carried with
@@ -103,7 +100,7 @@ def transient_via_ilt(gen: GeneratorMatrix, p0: ProbabilityVector, times,
     distribution is required.  Metadata records each time point's band
     excursion and raw mass deviation, 0.0 at t = 0.
     """
-    grid = time_grid(times)
+    grid = np.array(checked_times(times))
     lead = int(grid[0] == 0)  # the t = 0 row, if any
     positive = grid[lead:]
 

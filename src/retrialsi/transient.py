@@ -3,9 +3,8 @@
 Uniformization expresses P(t) = P(0) exp(Q t) as a Poisson mixture of powers of
 the stochastic matrix U = I + Q / Lambda, truncated with an explicit total
 variation bound.  It serves as the oracle the inverse-transform solver is
-checked against.  One stepping loop serves a single time (:func:`uniformize`)
-and a grid (:func:`transient_grid`): it bounds Lambda * t_max and builds U once
-per grid, then steps interval by interval.  Gillespie sampling provides a
+checked against.  :func:`transient_grid` bounds Lambda * t_max and builds U
+once per grid, then steps interval by interval.  Gillespie sampling provides a
 third, statistical route; it takes the arrival rate of every state as one array, as
 :func:`.model.rate_function` returns it.  Every grid route takes any grid that
 :func:`.model.checked_times` accepts and returns a :class:`TransientSolution`;
@@ -77,11 +76,6 @@ def delta_vector(space: StateSpace, state: State) -> ProbabilityVector:
     return ProbabilityVector(values, 0.0, space)
 
 
-def time_grid(times) -> np.ndarray:
-    """``times`` as a new float array, checked by :func:`.model.checked_times`."""
-    return np.array(checked_times(times))
-
-
 @dataclass(frozen=True, eq=False)
 class TransientSolution:
     """One probability vector per grid time, plus solver metadata; ``metadata["method"]`` names the route."""
@@ -91,7 +85,7 @@ class TransientSolution:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = time_grid(self.times)
+        t = np.array(checked_times(self.times))
         if t.size != len(self.vectors):
             raise DomainError("times and vectors must align one to one")
         sizes = {v.values.size for v in self.vectors}
@@ -157,10 +151,21 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _uniformize_grid(gen: GeneratorMatrix, p0: ProbabilityVector, grid: np.ndarray, eps: float):
-    """``p0`` stepped to each time t of the increasing, validated ``grid`` in turn and stamped ``p0.t + t``,
-    with Lambda and the number of products U^T v taken; Lambda, its bound, U's diagonals and the buffers
-    are set up once."""
+def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
+               eps: float = 1e-10) -> ProbabilityVector:
+    """``p0`` propagated for a duration ``t`` within total variation ``eps``: :func:`transient_grid` at ``t``."""
+    return transient_grid(gen, p0, [t], eps).vectors[0]
+
+
+def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
+                   eps: float = 1e-10) -> TransientSolution:
+    """Evaluate the distribution on a time grid, stamped ``p0.t + t``, propagating interval by interval.
+
+    Cost scales with the largest time, not with grid size times horizon: the steps of all
+    intervals together number about Lambda * t_max, bounded by MAX_POISSON_MEAN up front.
+    The metadata records Lambda (``rate``) and the products U^T v taken (``steps``).
+    """
+    grid = np.array(checked_times(times))
     if not 0 < eps <= EPS_MAX:
         raise DomainError(f"eps must lie in (0, {EPS_MAX:g}], got {eps}")
     v = np.array(p0.values, dtype=float)
@@ -187,28 +192,7 @@ def _uniformize_grid(gen: GeneratorMatrix, p0: ProbabilityVector, grid: np.ndarr
         v[:] = acc
         prev_t, products = t, products + weights.size - 1
         vectors.append(ProbabilityVector(acc, p0.t + t, p0.space or gen.space))
-    return vectors, lam, products
-
-
-def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,
-               eps: float = 1e-10) -> ProbabilityVector:
-    """Propagate ``p0`` for a duration ``t``; total variation error below ``eps``."""
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return _uniformize_grid(gen, p0, np.array([t], dtype=float), eps)[0][0]
-
-
-def transient_grid(gen: GeneratorMatrix, p0: ProbabilityVector, times,
-                   eps: float = 1e-10) -> TransientSolution:
-    """Evaluate the distribution on a time grid, propagating interval by interval.
-
-    Cost scales with the largest time, not with grid size times horizon: the steps of all
-    intervals together number about Lambda * t_max, bounded by MAX_POISSON_MEAN up front.
-    The metadata records Lambda (``rate``) and the products U^T v taken (``steps``).
-    """
-    grid = time_grid(times)
-    vectors, lam, steps = _uniformize_grid(gen, p0, grid, eps)
-    return TransientSolution(grid, vectors, {"method": "uniformization", "eps": eps, "rate": lam, "steps": steps})
+    return TransientSolution(grid, vectors, {"method": "uniformization", "eps": eps, "rate": lam, "steps": products})
 
 
 def _transition_table(cfg: ModelConfig, arrival: np.ndarray):
@@ -303,7 +287,7 @@ def monte_carlo_estimate(cfg: ModelConfig, arrival: np.ndarray, times,
     """
     if replicas < MIN_REPLICAS:
         raise DomainError(f"replicas must be >= {MIN_REPLICAS}, got {replicas}")
-    grid = time_grid(times)
+    grid = np.array(checked_times(times))
 
     space = cfg.space
     exit_rate, cum, targets = _transition_table(cfg, arrival)

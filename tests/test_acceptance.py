@@ -220,7 +220,7 @@ def test_criterion_reference_grid_report():
         "outputs": ["table_grid"],
         "table": {"N": list(TABLE_N), "c": list(TABLE_C), "times": list(TABLE_TIMES)},
     })
-    paths = _write_table(scenario, REPORTS_DIR, meta=None)
+    paths = _write_table(scenario, REPORTS_DIR, None, "table_grid", None)
     match_path = REPORTS_DIR / "reference_match.csv"
     content = match_path.read_text()
     tally_line = next(line for line in content.splitlines() if "matched" in line)

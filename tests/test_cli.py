@@ -630,15 +630,19 @@ class TestPerStateWriters:
         space = scenario.model.space
         rows = [(repr(float(t)), *space.state_at(idx), repr(float(p)))
                 for t, vec in zip(sol.times, sol.vectors) for idx, p in enumerate(vec.values)]
-        [path] = cli._write_state_probs(scenario, sol, tmp_path, None)
+        [path] = cli._write_state_probs(scenario, tmp_path, None, "state_probs", sol)
         assert path.read_bytes() == self.per_state_csv(("t", "i", "j", "probability"), rows)
 
     def test_stationary(self, scenario, tmp_path):
         model = scenario.model
         pi = rs.stationary_nullspace(rs.build_generator(model, rs.rate_function(model, scenario.graph)))
         rows = [(*model.space.state_at(idx), repr(float(p))) for idx, p in enumerate(pi.values)]
-        [path] = cli._write_stationary(scenario, tmp_path, None)
+        [path] = cli._write_stationary(scenario, tmp_path, None, "stationary", None)
         assert path.read_bytes() == self.per_state_csv(("i", "j", "probability"), rows)
+
+
+def test_every_report_kind_has_a_writer():
+    assert set(cli._WRITERS) == {*cli.OUTPUT_KINDS, "timeseries_marginals", "timeseries_moments", "trajectory"}
 
 
 #: Runs the CLI in a fresh interpreter and prints its exit code and the scipy, numpy

@@ -130,6 +130,17 @@ class TestValidateGenerator:
         assert not report.ok
         assert (src, dst) in report.off_stencil
 
+    def test_level_rates_names_every_fault(self, wellmixed_generator, wellmixed_config):
+        # an off-stencil entry without its diagonal correction unbalances its row too;
+        # the sweep's refusal once named only the off-stencil entry
+        space = wellmixed_config.space
+        dense = wellmixed_generator.toarray()
+        dense[space.index(0, 0), space.index(2, 0)] = 0.5
+        with pytest.raises(ModelError) as refused:
+            rs.generator.level_rates(GeneratorMatrix.from_dense(dense, space))
+        message = str(refused.value)
+        assert "1 rows not conservative" in message and "1 off-stencil transitions" in message
+
     def test_stencil_skipped_without_space(self, two_state_toy):
         report = rs.validate_generator(two_state_toy)
         assert report.ok

@@ -67,9 +67,15 @@ class TestUniformize:
     def test_poisson_mean_bound(self, wellmixed_generator, wellmixed_p0):
         # rejected before the Poisson scan, which would allocate and loop over ~Lambda * t terms
         lam = float(wellmixed_generator.exit_rates().max())
-        for t in (2 * MAX_POISSON_MEAN / lam, 1e300, math.inf):
+        for t in (2 * MAX_POISSON_MEAN / lam, 1e300):
             with pytest.raises(DomainError, match="MAX_POISSON_MEAN"):
                 rs.uniformize(wellmixed_generator, wellmixed_p0, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_time_follows_the_grid_rule(self, wellmixed_generator, wellmixed_p0, t):
+        # NaN and inf once reached the Poisson-mean bound and were refused as exceeding it
+        with pytest.raises(DomainError, match="times must be finite and nonnegative"):
+            rs.uniformize(wellmixed_generator, wellmixed_p0, t)
 
     def test_grid_poisson_mean_bound(self, wellmixed_generator, wellmixed_p0):
         # each of the 20 intervals passes uniformize's own bound, the grid's 4.75e6 steps do not
