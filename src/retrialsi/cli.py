@@ -333,22 +333,39 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
 def _solve_grid(model: ModelConfig, graph, solver: SolverSettings, times) -> TransientSolution:
     """Distribution on a checked time grid under the configured method.
 
-    Only the inversion loads the inversion and Laplace modules.
+    The inversion and uniformization solve only the box of states the chain
+    reaches by the last time except with probability ``tail = BOX_TAIL * eps``
+    (:func:`.transient.reachable_box`), and embed it back.  Uniformization
+    truncates each interval on the box at ``eps - tail``, so no time point's
+    total variation bound exceeds the whole lattice's.  When the box is the
+    whole lattice they solve it as it is, and spend no tail.  Monte Carlo, whose work is
+    per event, samples the whole lattice.  The metadata records the states
+    solved (``box_states``) and the tail spent (``box_tail``).  Only the
+    inversion loads the inversion and Laplace modules.
     """
     from .generator import build_generator
-    from .transient import delta_vector, monte_carlo_estimate, transient_grid
+    from .transient import BOX_TAIL, delta_vector, embedded, monte_carlo_estimate, reachable_box, transient_grid
 
     arrival = rate_function(model, graph)
+    solved, tail = model, 0.0
     if solver.method == "monte_carlo":  # samples from the transition table, not from Q
-        return monte_carlo_estimate(model, arrival, times, solver.replicas, solver.seed)
-    gen = build_generator(model, arrival)
-    p0 = delta_vector(model.space, model.initial_state)
-    if solver.method == "uniformization":
-        return transient_grid(gen, p0, times, eps=solver.eps)
+        sol = monte_carlo_estimate(model, arrival, times, solver.replicas, solver.seed)
+    else:
+        box = reachable_box(model, arrival, max(times), BOX_TAIL * solver.eps)
+        if box is not None:
+            (solved, arrival), tail = box, BOX_TAIL * solver.eps
+        gen = build_generator(solved, arrival)
+        p0 = delta_vector(solved.space, solved.initial_state)
+        if solver.method == "uniformization":
+            sol = transient_grid(gen, p0, times, eps=solver.eps - tail)
+        else:
+            from .inversion import transient_via_ilt
 
-    from .inversion import transient_via_ilt
-
-    return transient_via_ilt(gen, p0, times, order=solver.order)
+            sol = transient_via_ilt(gen, p0, times, order=solver.order)
+    if solved is not model:
+        sol = embedded(sol, model.space)
+    sol.metadata.update(box_states=solved.space.size, box_tail=tail)
+    return sol
 
 
 # --- report writing ---------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,6 +149,76 @@ def _poisson_weights(q: float, eps: float) -> np.ndarray:
     cut = min(cut, hi)
     w = w[: cut + 1]
     return w / w.sum()
+
+
+def poisson_quantile(q: float, tail: float) -> int | float:
+    """Smallest integer m with P(Poisson(q) > m) <= ``tail``, for 0 < tail < 1/2; inf at tail 0.
+
+    The pmf is computed in log space, as in :func:`_poisson_weights`, so no
+    e^-q underflows, and only from floor(q) - 1 up, since the median exceeds
+    q - ln 2.  The scan ends where Bernstein's inequality puts less than
+    tail * e^-40 above it; the tail is summed from there, smallest terms first.
+    """
+    if q == 0.0:
+        return 0
+    if not tail > 0.0:
+        return math.inf
+    bound = 40.0 - math.log(tail)
+    lo = max(0, math.floor(q) - 1)
+    hi = math.ceil(q + math.sqrt(2.0 * q * bound) + 2.0 * bound / 3.0) + 1
+    n = np.arange(lo, hi + 1)
+    logp = -q + n * math.log(q) - np.fromiter(map(math.lgamma, range(lo + 1, hi + 2)), float, n.size)
+    above = np.cumsum(np.exp(logp)[:0:-1])[::-1]  # above[k] = P(lo + k < X <= hi)
+    return lo + int(np.flatnonzero(above <= tail)[0])
+
+
+#: Share of a solve's eps that the reachable box (:func:`reachable_box`) may leave out.
+BOX_TAIL = 1e-3
+
+
+def reachable_box(cfg: ModelConfig, arrival: np.ndarray, horizon: float,
+                  tail: float) -> tuple[ModelConfig, np.ndarray] | None:
+    """The lattice model of the states the chain reaches by ``horizon`` except with probability ``tail``.
+
+    Only an arrival raises i + j, and every arrival rate is at most
+    lambda_max = max(arrival), so with m = :func:`poisson_quantile` of
+    lambda_max * horizon and M = i0 + j0 + m, the chain stays in i <= c' =
+    max(1, min(c, M)), j <= j_max = min(N - c, max(j0, M - c)) up to
+    ``horizon``, except with probability at most ``tail`` (a finite state
+    projection: Munsky & Khammash, J. Chem. Phys. 124, 044104, 2006).
+
+    Returns the box as a model with c' units and the box's orbit levels, one
+    spare level added when j_max = 0 (a lattice needs N > c), and its arrival
+    rates: ``arrival``'s on the box, with every arrival that would leave it
+    zeroed (all of row c' when c' < c, and (c', j >= j_max)).  The blocked
+    chain follows the full one on every path that never tries to leave, so
+    their laws differ by at most ``tail`` in total variation.  Returns None
+    when the box, its spare level included, is the whole lattice.
+    """
+    i0, j0 = cfg.initial_state
+    q = float(arrival.max()) * horizon
+    if not q < cfg.N - i0 - j0 + 1:  # m is above the median, so above q - 1: M >= N, the box is the lattice
+        return None
+    top = i0 + j0 + poisson_quantile(q, tail)
+    c = max(1, min(cfg.c, top))
+    j_max = min(cfg.N - cfg.c, max(j0, top - cfg.c))
+    if c == cfg.c and max(j_max, 1) == cfg.N - cfg.c:  # with its spare level, the box is the lattice
+        return None
+    box = replace(cfg, N=c + max(j_max, 1), c=c)
+    rates = arrival.reshape(cfg.c + 1, cfg.space.width)[:c + 1, :box.space.width].copy()
+    rates[c, j_max if c == cfg.c else 0:] = 0.0
+    return box, rates.ravel()
+
+
+def embedded(solution: TransientSolution, space: StateSpace) -> TransientSolution:
+    """``solution``, solved on a :func:`reachable_box` of ``space``, with zero on every state outside the box."""
+    box = solution.vectors[0].space
+    vectors = []
+    for vector in solution.vectors:
+        values = np.zeros((space.c + 1, space.width))
+        values[:box.c + 1, :box.width] = vector.as_grid()
+        vectors.append(ProbabilityVector(values.ravel(), vector.t, space))
+    return TransientSolution(solution.times, vectors, solution.metadata)
 
 
 def uniformize(gen: GeneratorMatrix, p0: ProbabilityVector, t: float,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import retrialsi as rs
-from retrialsi import cli, laplace
+from retrialsi import cli, laplace, transient
 from retrialsi.cli import main, scenario_from_mapping
 from retrialsi.errors import ConfigError, ModelError, NumericalError
 
@@ -139,6 +139,27 @@ class TestSolve:
             inverted = rs.transient_via_ilt(gen, rs.delta_vector(model.space, (0, 0)), positive).metadata
         for key in ("band_excursion", "raw_sum_deviation"):
             assert sol.metadata[key] == [0.0] * (len(times) - len(positive)) + inverted[key]
+
+    @pytest.mark.parametrize("method", ["ilt", "uniformization"])
+    @pytest.mark.parametrize("config,states", [
+        ("bench/configs/lattice.yaml", 142),  # m = 70 arrivals by t = 5: 71 unit counts, no orbit, one spare level
+        ("demos/configs/wellmixed.yaml", 36),  # the box is the whole N = 10, c = 5 lattice
+    ])
+    def test_metadata_records_the_box(self, method, config, states):
+        scenario = cli.load_scenario(REPO / config, method_override=method)
+        sol = cli._solve_grid(scenario.model, scenario.graph, scenario.solver, scenario.grid())
+        projected = states < scenario.model.space.size
+        assert sol.metadata["box_states"] == states
+        assert sol.metadata["box_tail"] == (transient.BOX_TAIL * scenario.solver.eps if projected else 0.0)
+        assert all(v.space == scenario.model.space for v in sol.vectors)
+        if method == "uniformization":  # truncated within what the box leaves of eps
+            assert sol.metadata["eps"] == scenario.solver.eps - sol.metadata["box_tail"]
+
+    def test_monte_carlo_samples_the_whole_lattice(self):
+        scenario = cli.load_scenario(REPO / "bench" / "configs" / "lattice.yaml", method_override="monte_carlo")
+        solver = cli.SolverSettings(method="monte_carlo", replicas=1000)
+        sol = cli._solve_grid(scenario.model, scenario.graph, solver, scenario.grid())
+        assert (sol.metadata["box_states"], sol.metadata["box_tail"]) == (10_201, 0.0)
 
     def test_method_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, method="ilt")

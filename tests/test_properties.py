@@ -9,10 +9,11 @@ from scipy.sparse import coo_matrix, csr_matrix, diags  # noqa: E402
 from scipy.sparse.csgraph import connected_components  # noqa: E402
 
 import retrialsi as rs  # noqa: E402
+from retrialsi import cli  # noqa: E402
 from retrialsi.errors import ModelError  # noqa: E402
 from retrialsi.generator import transitions  # noqa: E402
 from retrialsi.laplace import solve_resolvents  # noqa: E402
-from retrialsi.transient import _transition_table  # noqa: E402
+from retrialsi.transient import BOX_TAIL, _transition_table, reachable_box  # noqa: E402
 
 RATES = st.floats(0.05, 10.0)
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -113,6 +114,50 @@ def test_grid_equals_chained_uniformize(model, times, start):
         previous = rs.uniformize(gen, previous, t - before)
         assert np.array_equal(vector.values, previous.values)
         assert vector.t == start + t
+
+
+def moves(gen):
+    """{(i, j, i', j'): rate} of every nonzero off-diagonal entry of Q, keyed by lattice coordinates."""
+    rows, cols, rates = gen.triplets()
+    keep = (rows != cols) & (rates != 0)
+    coordinates = [*np.divmod(rows[keep], gen.space.width), *np.divmod(cols[keep], gen.space.width)]
+    return dict(zip(zip(*(x.tolist() for x in coordinates)), rates[keep].tolist()))
+
+
+BOX_MODEL = dict(N=30, c=20, alpha=1.0, mu=0.4, theta=2.0)
+
+
+@PROPERTY_SETTINGS
+@given(models(max_n=60), st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3, unique=True).map(sorted),
+       st.sampled_from([1e-10, 1e-6]))
+@example((rs.ModelConfig(**BOX_MODEL, initial_state=(2, 3)), rs.ring_with_hub(30)), [0.1, 0.2], 1e-10)
+@example((rs.ModelConfig(**BOX_MODEL, mode="heterogeneous", tagged_node=2, initial_state=(1, 0)),
+          rs.ring_with_hub(30)), [0.0, 0.5], 1e-6)
+@example((rs.ModelConfig(**BOX_MODEL), rs.ring_with_hub(30)), [0.0], 1e-10)
+@example((rs.ModelConfig(**BOX_MODEL, initial_state=(4, 6)), rs.ring_with_hub(30)), [0.0], 1e-6)
+def test_projected_uniformization_agrees_with_the_full_lattice(model, times, eps):
+    # The CLI's solve on the reachable box keeps the whole lattice's bound in total variation: eps
+    # per interval stepped, as the box's tail is spent once for the grid and each interval is truncated
+    # at eps - tail.  The box chain moves only as the full chain does, at the same rates: an arrival
+    # that would leave the box is blocked, not sent to another state.
+    cfg, graph = model
+    sol = cli._solve_grid(cfg, graph, cli.SolverSettings(method="uniformization", eps=eps), times)
+    arrival = rs.rate_function(cfg, graph)
+    gen = rs.build_generator(cfg, arrival)
+    full = rs.transient_grid(gen, rs.delta_vector(cfg.space, cfg.initial_state), times, eps=1e-15)
+    for intervals, projected, whole in zip(np.cumsum(np.array(times) > 0), sol.vectors, full.vectors):
+        assert projected.space == cfg.space
+        assert 0.5 * np.abs(projected.values - whole.values).sum() <= intervals * eps + 1e-13
+
+    box = reachable_box(cfg, arrival, times[-1], BOX_TAIL * eps)
+    if box is None:
+        assert (sol.metadata["box_states"], sol.metadata["box_tail"]) == (cfg.space.size, 0.0)
+        return
+    box_cfg, box_arrival = box
+    assert (sol.metadata["box_states"], sol.metadata["box_tail"]) == (box_cfg.space.size, BOX_TAIL * eps)
+    assert box_cfg.initial_state == cfg.initial_state and box_cfg.space.size < cfg.space.size
+    full_moves = moves(gen)
+    assert all(full_moves.get(move) == rate for move, rate in moves(rs.build_generator(box_cfg, box_arrival)).items())
 
 
 @PROPERTY_SETTINGS

@@ -10,7 +10,8 @@ import retrialsi as rs
 from retrialsi import ModelConfig
 from retrialsi.errors import DomainError
 from retrialsi.generator import CsrArrays
-from retrialsi.transient import MAX_POISSON_MEAN, _poisson_weights, _transition_table
+from retrialsi.transient import (MAX_POISSON_MEAN, _poisson_weights, _transition_table, poisson_quantile,
+                                 reachable_box)
 
 STENCIL_MOVES = {(1, 0), (-1, 0), (1, -1), (0, 1)}
 
@@ -91,6 +92,59 @@ class TestUniformize:
         mid = rs.uniformize(wellmixed_generator, wellmixed_p0, 1.5)
         out = rs.uniformize(wellmixed_generator, mid, 2.5)
         assert out.t == pytest.approx(4.0)
+
+
+class TestReachableBox:
+    @pytest.mark.parametrize("tail", [1e-13, 1e-9])
+    @pytest.mark.parametrize("q", [0.0, 25.0, 745.0, 1e4, 1e6])
+    def test_poisson_quantile_matches_mpmath(self, q, tail):
+        # e^-q underflows above q = 745, where a cdf summed from k = 0 would never reach 1 - tail
+        mpmath = pytest.importorskip("mpmath")
+
+        def above(k):  # P(Poisson(q) > k) = P(Gamma(k + 1, 1) < q)
+            with mpmath.workdps(30):
+                return mpmath.gammainc(k + 1, 0, q, regularized=True)
+
+        m = poisson_quantile(q, tail)
+        assert above(m) <= tail
+        assert m == 0 or above(m - 1) > tail
+
+    def test_poisson_quantile_without_a_tail(self):
+        assert poisson_quantile(0.0, 0.0) == 0
+        assert poisson_quantile(1.0, 0.0) == math.inf
+
+    @pytest.mark.parametrize("initial,t,shape", [
+        ((0, 0), 0.0, (1, 0)),     # m = 0, so M = 0: c' is floored at 1
+        ((2, 3), 0.0, (5, 3)),     # M = 5 < c: c' = 5, and the start's orbit levels
+        ((0, 0), 0.05, (10, 0)),   # m = 10 at 1e-13 (alpha t = 0.25): c' = 10 < c
+        ((0, 0), 20.0, (40, 45)),  # m = 182 >= N: the box is the whole lattice
+    ])
+    def test_box_shape(self, initial, t, shape):
+        # shape is (c', j_max); a box without orbit levels gets one spare level, as a lattice needs N > c
+        cfg = ModelConfig(N=85, c=40, alpha=5.0, mu=0.4, theta=2.0, initial_state=initial)
+        box = reachable_box(cfg, rs.rate_function(cfg), t, 1e-13)
+        if shape == (cfg.c, cfg.N - cfg.c):
+            assert box is None
+            return
+        c, j_max = shape
+        box_cfg, arrival = box
+        assert (box_cfg.c, box_cfg.N - box_cfg.c) == (c, max(j_max, 1))
+        assert box_cfg.initial_state == initial
+        rates = arrival.reshape(c + 1, box_cfg.space.width)
+        full = rs.rate_function(cfg).reshape(cfg.c + 1, cfg.space.width)
+        assert np.array_equal(rates[:c], full[:c, :box_cfg.space.width])
+        assert not rates[c].any()  # c' < c: every arrival out of row c' leaves the box
+
+    def test_blocks_the_orbit_above_the_box(self):
+        cfg = ModelConfig(N=200, c=3, alpha=5.0, mu=0.4, theta=2.0)
+        box_cfg, arrival = reachable_box(cfg, rs.rate_function(cfg), 1.0, 1e-13)
+        j_max = box_cfg.N - box_cfg.c
+        assert box_cfg.c == cfg.c and 0 < j_max < cfg.N - cfg.c
+        rates = arrival.reshape(cfg.c + 1, j_max + 1)
+        full = rs.rate_function(cfg).reshape(cfg.c + 1, cfg.space.width)
+        assert np.array_equal(rates[:, :j_max], full[:, :j_max])
+        assert np.array_equal(rates[:cfg.c, j_max], full[:cfg.c, j_max])
+        assert rates[cfg.c, j_max] == 0.0  # the arrival into level j_max + 1
 
 
 class TestTransientGrid:
