@@ -23,8 +23,8 @@ _SUBMODULE_NAMES = {
     "laplace": ("stationary_nullspace",),
     "measures": ("MarginalReport", "marginal_orbit", "marginal_recovering", "marginal_report",
                  "moment_orbit", "moment_recovering"),
-    "model": ("DEFAULT_CHAIN_ORDER", "Closure", "ContactGraph", "Mode", "ModelConfig", "StateSpace",
-              "graph_to_text", "load_graph", "rate_function", "ring_with_hub"),
+    "model": ("DEFAULT_CHAIN_ORDER", "Closure", "Mode", "ModelConfig", "StateSpace", "load_graph",
+              "rate_function", "ring_with_hub"),
     "transient": ("ProbabilityVector", "Trajectory", "TransientSolution", "delta_vector",
                   "monte_carlo_estimate", "simulate_gillespie", "standard_errors", "transient_grid",
                   "uniformize"),

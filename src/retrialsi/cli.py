@@ -34,7 +34,6 @@ from .model import (
     K_MAX,
     K_MIN,
     MIN_REPLICAS,
-    ContactGraph,
     Mode,
     ModelConfig,
     checked_times,
@@ -83,7 +82,7 @@ class ScenarioConfig:
     solver: SolverSettings
     times: tuple[float, ...] | None
     outputs: tuple[str, ...]
-    graph: ContactGraph | None = None
+    degree: int | None = None  # the tagged node's, on the configured graph
     graph_path: str | None = None
     table_n: tuple[int, ...] = DEFAULT_TABLE_N
     table_c: tuple[int, ...] = DEFAULT_TABLE_C
@@ -91,6 +90,11 @@ class ScenarioConfig:
     sweep_thetas: tuple[float, ...] = DEFAULT_SWEEP_THETAS
     sweep_times: tuple[float, ...] | None = None
     raw: dict = field(default_factory=dict)
+
+    @property
+    def graph(self) -> int | None:
+        """``degree`` under its former name, which the benchmark's stationary check still reads."""
+        return self.degree
 
     @property
     def config_hash(self) -> str:
@@ -193,7 +197,7 @@ def load_scenario(path, method_override=None, seed_override=None) -> ScenarioCon
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
         mapping = yaml.safe_load(text)
@@ -240,7 +244,7 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
     if model.tagged_node is not None and not 0 <= model.tagged_node < model.N:
         raise ConfigError(f"model.tagged_node: must lie in 0..{model.N - 1}, got {model.tagged_node}")
 
-    graph = None
+    degree = None
     graph_path = mapping.get("graph_path")
     if model.mode is Mode.HETEROGENEOUS:
         if not graph_path:
@@ -248,9 +252,10 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         with _malformed("graph_path"):
             resolved = Path(base_dir) / graph_path
         try:
-            graph = load_graph(resolved.read_text(encoding="utf-8"), nodes=model.N)
-        except OSError as exc:
+            text = resolved.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"graph_path: cannot read {resolved}: {exc}") from exc
+        degree = load_graph(text, model.N, model.tagged_node)
 
     solver_map = _section(mapping, "solver")
     method = str(method_override or solver_map.get("method", "ilt")).lower()
@@ -313,7 +318,7 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
         solver=solver,
         times=times,
         outputs=outputs,
-        graph=graph,
+        degree=degree,
         graph_path=graph_path,
         table_n=table_n,
         table_c=table_c,
@@ -330,7 +335,7 @@ def scenario_from_mapping(mapping: dict, base_dir=".",
 # --- solving ---------------------------------------------------------------
 
 
-def _solve_grid(model: ModelConfig, graph, solver: SolverSettings, times) -> TransientSolution:
+def _solve_grid(model: ModelConfig, degree, solver: SolverSettings, times) -> TransientSolution:
     """Distribution on a checked time grid under the configured method.
 
     The inversion and uniformization solve only the box of states the chain
@@ -346,7 +351,7 @@ def _solve_grid(model: ModelConfig, graph, solver: SolverSettings, times) -> Tra
     from .generator import build_generator
     from .transient import BOX_TAIL, delta_vector, embedded, monte_carlo_estimate, reachable_box, transient_grid
 
-    arrival = rate_function(model, graph)
+    arrival = rate_function(model, degree)
     solved, tail = model, 0.0
     if solver.method == "monte_carlo":  # samples from the transition table, not from Q
         sol = monte_carlo_estimate(model, arrival, times, solver.replicas, solver.seed)
@@ -462,7 +467,7 @@ def _write_stationary(scenario, out_dir, meta, kind, sol):
     from .generator import build_generator, transposed_product
     from .laplace import stationary_nullspace
 
-    gen = build_generator(scenario.model, rate_function(scenario.model, scenario.graph))
+    gen = build_generator(scenario.model, rate_function(scenario.model, scenario.degree))
     pi = stationary_nullspace(gen)
     if meta is not None:  # max |pi Q| along Q's diagonals, which loads no scipy
         residual = transposed_product(gen.csr.diagonals(), pi.values, np.zeros(gen.dim))()
@@ -482,10 +487,10 @@ def _table_cells(scenario: ScenarioConfig):
     heterogeneous = scenario.model.mode is Mode.HETEROGENEOUS
     for n in scenario.table_n:
         valid_c = [c for c in scenario.table_c if 1 <= c < n]  # MAX_STATES bounds these pairs
-        graph = ring_with_hub(n) if heterogeneous and valid_c else None
+        degree = ring_with_hub(n, scenario.model.tagged_node) if heterogeneous and valid_c else None
         for c in valid_c:
             model = dataclasses.replace(scenario.model, N=n, c=c, initial_state=(0, 0))
-            for t, e_i, e_r in _first_moments(_solve_grid(model, graph, scenario.solver, scenario.table_times)):
+            for t, e_i, e_r in _first_moments(_solve_grid(model, degree, scenario.solver, scenario.table_times)):
                 cells[(c, t, n)] = (e_i, e_r)
     return cells
 
@@ -546,13 +551,13 @@ def _write_sweep(scenario, out_dir, meta, kind, sol):
 
     paths = []
     modes = [(Mode.HOMOGENEOUS, None, "sweep_homogeneous.csv")]
-    if scenario.graph is not None and scenario.model.tagged_node is not None:
-        modes.append((Mode.HETEROGENEOUS, scenario.graph, "sweep_heterogeneous.csv"))
-    for mode, graph, name in modes:
+    if scenario.degree is not None:
+        modes.append((Mode.HETEROGENEOUS, scenario.degree, "sweep_heterogeneous.csv"))
+    for mode, degree, name in modes:
         rows = []
         for th in thetas:
             model = dataclasses.replace(scenario.model, theta=th, mode=mode)
-            sol = _solve_grid(model, graph, scenario.solver, times)
+            sol = _solve_grid(model, degree, scenario.solver, times)
             rows += [(_fmt(th), *map(_fmt, moments)) for moments in _first_moments(sol)]
         paths.append(_write_csv(out_dir / name, ("theta", "t", "E_I", "E_R"), rows, meta))
     return paths
@@ -565,7 +570,7 @@ def _write_trajectory(scenario, out_dir, meta, kind, sol):
     if horizon <= 0:
         raise ConfigError("times: simulation horizon must be positive")
     trajectory = simulate_gillespie(
-        scenario.model, rate_function(scenario.model, scenario.graph),
+        scenario.model, rate_function(scenario.model, scenario.degree),
         horizon, scenario.solver.seed,
     )
     if meta is not None:
@@ -598,7 +603,7 @@ def run_scenario(scenario: ScenarioConfig, out_dir, no_metadata=False, command="
     meta = None if no_metadata else _metadata(scenario, command)
     sol = None
     if _SOLUTION_REPORTS & set(scenario.outputs):
-        sol = _solve_grid(scenario.model, scenario.graph, scenario.solver, scenario.grid())
+        sol = _solve_grid(scenario.model, scenario.degree, scenario.solver, scenario.grid())
     return [path for kind in scenario.outputs for path in _WRITERS[kind](scenario, out_dir, meta, kind, sol)]
 
 

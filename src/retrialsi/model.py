@@ -1,8 +1,11 @@
-"""Model configuration, state space, contact graphs and arrival rates.
+"""Model configuration, state space, contact-graph parsing and arrival rates.
 
-This module imports no numpy until a graph or rate array is built, so the
-config parser can check a well-mixed scenario without it; it also holds the
-solver bounds and the time-grid rule that the parser and the solvers share.
+The heterogeneous chain reads a contact graph only through N and the tagged
+node's degree, so a graph file is parsed to that one integer and no edges
+are kept.  This module imports no numpy until a rate array is built, so the
+config parser can check any scenario, a graph included, without it; it also
+holds the solver bounds and the time-grid rule that the parser and the
+solvers share.
 
 The system tracks a closed population of ``N`` nodes.  Infected nodes occupy
 one of ``c`` recovery units; when all units are busy a newly infected node
@@ -13,7 +16,7 @@ is the pair ``(i, j)`` = (busy units, orbit occupancy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -34,9 +37,9 @@ K_MAX = 20
 DEFAULT_CHAIN_ORDER = 20
 EPS_MAX = 1e-6  # largest total-variation bound uniformization accepts
 MIN_REPLICAS = 1000  # fewest replicas a Monte Carlo estimate accepts
-# most nodes a contact graph may have: load_graph of ring_with_hub(1,000,000) (2e6 edges) peaks at
-# 418 MB RSS in 2.8-3.3 s on a 2-core host, the budget of MAX_REPLICAS; the CLI's largest population
-# (MAX_STATES at c = 1) is 150,000, whose ring loads in 0.4-0.6 s at 88 MB
+# most nodes a contact graph may have: reading and parsing the 2e6-edge file of ring_with_hub(1,000,000)
+# peaks at 58 MB RSS in 1.2-1.4 s on a 2-core host, the text and one chunk of lines; the CLI's largest
+# population (MAX_STATES at c = 1) is 150,000, whose ring loads in 0.17-0.25 s at 21 MB
 MAX_GRAPH_NODES = 1_000_000
 
 
@@ -121,117 +124,85 @@ class StateSpace:
         return [self.state_at(k) for k in range(self.size)]
 
 
-@dataclass(frozen=True, eq=False)
-class ContactGraph:
-    """Undirected simple graph on nodes 0..n-1, held as its distinct edges.
+def _lines(text: str):
+    """``text.splitlines()`` one line at a time, splitting 64 Ki characters or so at a time.
 
-    ``edges`` lists node pairs in either order, repeats allowed; they are kept
-    as an int64 (E, 2) array of distinct rows u < v in ascending order, so the
-    graph is symmetric and 0/1 by construction.  Self-loops are rejected.
+    Each chunk ends just after a newline, so no line break straddles two
+    chunks and the lines are those of the whole text; a list of every line of
+    a large graph would outweigh the text itself.
     """
-
-    n: int
-    edges: np.ndarray
-    degrees: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        import numpy as np
-
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ConfigError(f"node count must be an integer >= 1, got {self.n!r}")
-        e = np.array(self.edges, dtype=np.int64)  # a copy: freezing must not touch the caller's array
-        e = e.reshape(-1, 2) if e.size == 0 else e
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ConfigError(f"edges must be node pairs, got shape {e.shape}")
-        if np.any(e[:, 0] == e[:, 1]):
-            raise ConfigError("edges must not be self-loops")
-        if e.size and not (0 <= e.min() and e.max() < self.n):
-            raise ConfigError(f"edge endpoints must lie in 0..{self.n - 1}")
-        e.sort(axis=1)
-        keys = np.sort(e[:, 0] * self.n + e[:, 1])  # sorted and diffed: np.unique hashes, ~30x slower
-        e = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.n))
-        e.setflags(write=False)
-        object.__setattr__(self, "edges", e)
-        d = np.bincount(e.ravel(), minlength=self.n)
-        d.setflags(write=False)
-        object.__setattr__(self, "degrees", d)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degree(self, node: int) -> int:
-        if not 0 <= node < self.n:
-            raise DomainError(f"node {node} outside 0..{self.n - 1}")
-        return int(self.degrees[node])
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
-def load_graph(text: str, nodes: int | None = None) -> ContactGraph:
-    """Parse an edge-list document into a :class:`ContactGraph`.
+def load_graph(text: str, nodes: int, node: int) -> int:
+    """Degree of ``node`` in the graph an edge-list document describes.
 
     Format: a header line ``n <count>`` followed by one ``u v`` edge per line
     (0-based node ids).  Blank lines and lines starting with ``#`` are
-    ignored.  Duplicate edges collapse; self-loops are rejected.  The count
-    must be at most ``MAX_GRAPH_NODES`` and, if ``nodes`` is given, equal it.
+    ignored.  The count must be at most ``MAX_GRAPH_NODES`` and equal
+    ``nodes``.  Every line is checked, whichever nodes it joins; self-loops
+    are rejected.  The degree counts the distinct neighbours of ``node``, so
+    duplicate edges, in either order, count once.
     """
-    n = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise GraphFormatError("expected header 'n <count>'", line=lineno)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"bad node count {parts[1]!r}", line=lineno) from None
-            if n < 1:
-                raise GraphFormatError(f"node count must be >= 1, got {n}", line=lineno)
-            if n > MAX_GRAPH_NODES:
-                raise GraphFormatError(f"node count {n} exceeds MAX_GRAPH_NODES = {MAX_GRAPH_NODES}",
-                                       line=lineno)
-            if nodes is not None and n != nodes:
-                raise GraphFormatError(f"node count {n} differs from the {nodes} nodes expected", line=lineno)
+    if not 0 <= node < nodes:
+        raise DomainError(f"node {node} outside 0..{nodes - 1}")
+    numbered = enumerate(_lines(text), start=1)
+    for lineno, raw in numbered:
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            break
+    else:
+        raise GraphFormatError("empty document: missing 'n <count>' header")
+    if len(parts) != 2 or parts[0] != "n":
+        raise GraphFormatError("expected header 'n <count>'", line=lineno)
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"bad node count {parts[1]!r}", line=lineno) from None
+    if n < 1:
+        raise GraphFormatError(f"node count must be >= 1, got {n}", line=lineno)
+    if n > MAX_GRAPH_NODES:
+        raise GraphFormatError(f"node count {n} exceeds MAX_GRAPH_NODES = {MAX_GRAPH_NODES}", line=lineno)
+    if n != nodes:
+        raise GraphFormatError(f"node count {n} differs from the {nodes} nodes expected", line=lineno)
+    neighbours = set()
+    for lineno, raw in numbered:
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 2:
-            raise GraphFormatError(f"expected 'u v', got {line!r}", line=lineno)
+            raise GraphFormatError(f"expected 'u v', got {raw.strip()!r}", line=lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"non-integer node id in {line!r}", line=lineno) from None
+            raise GraphFormatError(f"non-integer node id in {raw.strip()!r}", line=lineno) from None
         if u == v:
             raise GraphFormatError(f"self-loop at node {u}", line=lineno)
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"node id outside 0..{n - 1} in {line!r}", line=lineno)
-        pairs.append((u, v))
-    if n is None:
-        raise GraphFormatError("empty document: missing 'n <count>' header")
-    return ContactGraph(n, pairs)
+            raise GraphFormatError(f"node id outside 0..{n - 1} in {raw.strip()!r}", line=lineno)
+        if u == node:
+            neighbours.add(v)
+        elif v == node:
+            neighbours.add(u)
+    return len(neighbours)
 
 
-def graph_to_text(graph: ContactGraph) -> str:
-    """Serialize a graph back to the edge-list format accepted by load_graph."""
-    lines = [f"n {graph.n}"] + [f"{u} {v}" for u, v in graph.edges.tolist()]
-    return "\n".join(lines) + "\n"
+def ring_with_hub(n: int, node: int) -> int:
+    """Degree of ``node`` in the fixture contact topology ``ring_with_hub(n)``.
 
-
-def ring_with_hub(n: int) -> ContactGraph:
-    """Fixture contact topology: a ring over nodes 1..n-1 plus node 0 joined to all.
-
-    Every non-hub node has degree 3 (two ring neighbors and the hub), so the
+    The fixture is a ring over nodes 1..n-1 plus node 0 joined to all.  Every
+    non-hub node has degree 3 (two ring neighbors and the hub), so the
     tagged-node dynamics are comparable across sizes; the hub has degree n - 1.
     """
     if n < 4:
         raise ConfigError(f"ring_with_hub needs n >= 4, got {n}")
-    import numpy as np
-
-    ring = np.arange(1, n)
-    spokes = np.column_stack((np.zeros_like(ring), ring))
-    arcs = np.column_stack((ring, np.roll(ring, -1)))
-    return ContactGraph(n, np.concatenate((spokes, arcs)))
+    if not 0 <= node < n:
+        raise DomainError(f"node {node} outside 0..{n - 1}")
+    return n - 1 if node == 0 else 3
 
 
 @dataclass(frozen=True)
@@ -274,14 +245,15 @@ class ModelConfig:
         return StateSpace(self.N, self.c)
 
 
-def rate_function(cfg: ModelConfig, graph: ContactGraph | None = None) -> np.ndarray:
+def rate_function(cfg: ModelConfig, degree: int | None = None) -> np.ndarray:
     """Arrival rate lambda(i, j) of every state of ``cfg.space``, in index order.
 
     Well-mixed, alpha * (N - i - j) / N: zero iff everyone is infected.  With
-    heterogeneous contacts, the rate seen by the tagged node k: external
-    pressure scales the population rate by its degree, (alpha * d_k / N) *
-    (N - i - j) / N, and internal pressure sums d_k / N over its neighbors
-    (d_k^2 / N in full), closed over count states per ``cfg.closure``.
+    heterogeneous contacts, the rate seen by the tagged node k of ``degree``
+    d_k (see :func:`load_graph`): external pressure scales the population
+    rate by its degree, (alpha * d_k / N) * (N - i - j) / N, and internal
+    pressure sums d_k / N over its neighbors (d_k^2 / N in full), closed over
+    count states per ``cfg.closure``.
     """
     import numpy as np
 
@@ -289,16 +261,14 @@ def rate_function(cfg: ModelConfig, graph: ContactGraph | None = None) -> np.nda
     i, j = np.divmod(np.arange(cfg.space.size), cfg.space.width)
     if cfg.mode is Mode.HOMOGENEOUS:
         return cfg.alpha * (N - i - j) / N
-    if graph is None:
-        raise ConfigError("heterogeneous mode requires a contact graph")
-    if graph.n != N:
-        raise ConfigError(f"graph has {graph.n} nodes but config N={N}")
-    k = cfg.tagged_node
-    if not 0 <= k < graph.n:
-        raise ConfigError(f"tagged_node {k} outside 0..{graph.n - 1}")
-    d_k = graph.degree(k)
-    external = (cfg.alpha * d_k / N) * (N - i - j) / N
-    neighbor_sum = d_k * d_k / N
+    if degree is None:
+        raise ConfigError("heterogeneous mode requires the tagged node's degree")
+    if not 0 <= cfg.tagged_node < N:
+        raise ConfigError(f"tagged_node {cfg.tagged_node} outside 0..{N - 1}")
+    if not 0 <= degree < N:
+        raise ConfigError(f"degree {degree} outside 0..{N - 1}")
+    external = (cfg.alpha * degree / N) * (N - i - j) / N
+    neighbor_sum = degree * degree / N
     if cfg.closure is Closure.MEAN_FIELD:
         neighbor_sum *= (i + j) / N
     return external + neighbor_sum

@@ -35,6 +35,30 @@ def tiny_generator(tiny_config):
     return rs.build_generator(tiny_config, rs.rate_function(tiny_config))
 
 
+def ring_with_hub_edges(n):
+    """The edges of the fixture ``ring_with_hub(n)``, each pair u < v, in ascending order.
+
+    Node 0 is joined to every node of the ring 1, 2, ..., n - 1, 1.
+    """
+    return [(0, v) for v in range(1, n)] + [(1, 2), (1, n - 1)] + [(v, v + 1) for v in range(2, n - 1)]
+
+
+def graph_to_text(n, edges):
+    """The edge-list document of a graph on ``n`` nodes with ``edges``, in the format load_graph reads."""
+    return "\n".join([f"n {n}", *(f"{u} {v}" for u, v in edges)]) + "\n"
+
+
+@pytest.fixture(scope="session")
+def graph_text():
+    return graph_to_text
+
+
+@pytest.fixture(scope="session")
+def ring_with_hub_text():
+    """``ring_with_hub_text(n)``: the edge list of ``ring_with_hub(n)``, as ``graphs/ring_hub_*.txt`` hold it."""
+    return lambda n: graph_to_text(n, ring_with_hub_edges(n))
+
+
 @pytest.fixture(scope="session")
 def two_state_toy():
     # symmetric toy generator, closed-form transient and stationary behavior

@@ -54,16 +54,16 @@ def test_criterion_generator_validity():
     count = 0
     all_ok = True
     for N in TABLE_N:
-        graph = rs.ring_with_hub(N)
+        degree = rs.ring_with_hub(N, 2)
         for c in TABLE_C:
             if c >= N:
                 continue
             hom = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=2.0)
             het = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=2.0,
                                  mode="heterogeneous", tagged_node=2)
-            for cfg, graph_arg in ((hom, None), (het, graph)):
+            for cfg, degree_arg in ((hom, None), (het, degree)):
                 report = rs.validate_generator(
-                    rs.build_generator(cfg, rs.rate_function(cfg, graph_arg)))
+                    rs.build_generator(cfg, rs.rate_function(cfg, degree_arg)))
                 all_ok &= report.ok and report.stencil_checked
                 worst = max(worst, report.max_abs_row_sum)
                 count += 1
@@ -280,8 +280,8 @@ def test_criterion_qualitative_heterogeneous_transient():
     start = time.perf_counter()
     grid = np.round(np.arange(0.5, 40.01, 0.5), 10)
 
-    def settle_time(cfg, graph=None):
-        gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    def settle_time(cfg, degree=None):
+        gen = rs.build_generator(cfg, rs.rate_function(cfg, degree))
         pi = rs.stationary_nullspace(gen)
         sol = rs.transient_grid(gen, rs.delta_vector(cfg.space, (0, 0)), grid)
         for t, vec in zip(sol.times, sol.vectors):
@@ -293,7 +293,7 @@ def test_criterion_qualitative_heterogeneous_transient():
     het_cfg = rs.ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0,
                              mode="heterogeneous", tagged_node=2)
     tau_hom = settle_time(hom_cfg)
-    tau_het = settle_time(het_cfg, rs.ring_with_hub(10))
+    tau_het = settle_time(het_cfg, rs.ring_with_hub(10, 2))
     elapsed = time.perf_counter() - start
     ok = tau_het > tau_hom
     _line(ok, "heterogeneous fixture settles slower than homogeneous",

@@ -147,7 +147,7 @@ class TestSolve:
     ])
     def test_metadata_records_the_box(self, method, config, states):
         scenario = cli.load_scenario(REPO / config, method_override=method)
-        sol = cli._solve_grid(scenario.model, scenario.graph, scenario.solver, scenario.grid())
+        sol = cli._solve_grid(scenario.model, scenario.degree, scenario.solver, scenario.grid())
         projected = states < scenario.model.space.size
         assert sol.metadata["box_states"] == states
         assert sol.metadata["box_tail"] == (transient.BOX_TAIL * scenario.solver.eps if projected else 0.0)
@@ -158,7 +158,7 @@ class TestSolve:
     def test_monte_carlo_samples_the_whole_lattice(self):
         scenario = cli.load_scenario(REPO / "bench" / "configs" / "lattice.yaml", method_override="monte_carlo")
         solver = cli.SolverSettings(method="monte_carlo", replicas=1000)
-        sol = cli._solve_grid(scenario.model, scenario.graph, solver, scenario.grid())
+        sol = cli._solve_grid(scenario.model, scenario.degree, solver, scenario.grid())
         assert (sol.metadata["box_states"], sol.metadata["box_tail"]) == (10_201, 0.0)
 
     def test_method_override_flag(self, tmp_path):
@@ -182,6 +182,19 @@ class TestExitCodes:
         )
         assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "graph_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file", ["config", "graph_path"])
+    def test_file_not_utf8_is_exit_two(self, tmp_path, capsys, file):
+        # a byte that is not UTF-8 in either file is a config error naming the file
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(b"n 10\n0 1\n" + (b"# \xff\xfe\n" if file == "graph_path" else b""))
+        path = tmp_path / "het.yaml"
+        path.write_bytes(b"model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, mode: heterogeneous}\n"
+                         b"graph_path: g.txt\n" + (b"# \xff\xfe\n" if file == "config" else b""))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        unreadable = path if file == "config" else graph
+        assert err.startswith(f"config error: {file}: cannot read {unreadable}: ") and "Traceback" not in err
 
     def test_tagged_node_outside_the_population_fails_validation(self, tmp_path, capsys):
         path = tmp_path / "het.yaml"
@@ -436,9 +449,9 @@ class TestSweep:
         assert header == ["theta", "t", "E_I", "E_R"]
         assert len(rows) == 3 * 2  # deduplicated thetas x times
 
-    def test_heterogeneous_sweep_included_with_graph(self, tmp_path):
+    def test_heterogeneous_sweep_included_with_graph(self, tmp_path, ring_with_hub_text):
         graph = tmp_path / "g.txt"
-        graph.write_text(rs.graph_to_text(rs.ring_with_hub(10)))
+        graph.write_text(ring_with_hub_text(10))
         path = tmp_path / "cfg.yaml"
         path.write_text(
             "model: {N: 10, c: 5, alpha: 5, mu: 0.4, theta: 2, mode: heterogeneous, tagged_node: 2}\n"
@@ -595,19 +608,19 @@ class TestScenarioParsing:
             with pytest.raises(ConfigError, match=rf"^{label}: 40 times x 251001 states .* MAX_GRID_ENTRIES"):
                 scenario_from_mapping(mapping)
 
-    def test_default_grid_at_max_states_accepted(self, tmp_path):
+    def test_default_grid_at_max_states_accepted(self, tmp_path, ring_with_hub_text):
         # the heterogeneous default grid has 29 times; N = 1093, c = 546 give 299,756 states
         graph = tmp_path / "g.txt"
-        graph.write_text(rs.graph_to_text(rs.ring_with_hub(1093)))
+        graph.write_text(ring_with_hub_text(1093))
         scenario = scenario_from_mapping({
             "model": {"N": 1093, "c": 546, "alpha": 5, "mu": 0.4, "theta": 2, "mode": "heterogeneous"},
             "graph_path": "g.txt",
         }, base_dir=tmp_path)
         assert len(scenario.grid()) == 29 and 299_756 <= cli.MAX_STATES
 
-    def test_heterogeneous_default_tagged_node(self, tmp_path):
+    def test_heterogeneous_default_tagged_node(self, tmp_path, ring_with_hub_text):
         graph = tmp_path / "g.txt"
-        graph.write_text(rs.graph_to_text(rs.ring_with_hub(10)))
+        graph.write_text(ring_with_hub_text(10))
         scenario = scenario_from_mapping({
             "model": {"N": 10, "c": 5, "alpha": 5, "mu": 0.4, "theta": 2,
                       "mode": "heterogeneous"},
@@ -646,7 +659,7 @@ class TestPerStateWriters:
         })
 
     def test_state_probs(self, scenario, tmp_path):
-        sol = cli._solve_grid(scenario.model, scenario.graph, scenario.solver,
+        sol = cli._solve_grid(scenario.model, scenario.degree, scenario.solver,
                               np.array([0.0, 0.5, 2.0]))
         space = scenario.model.space
         rows = [(repr(float(t)), *space.state_at(idx), repr(float(p)))
@@ -656,7 +669,7 @@ class TestPerStateWriters:
 
     def test_stationary(self, scenario, tmp_path):
         model = scenario.model
-        pi = rs.stationary_nullspace(rs.build_generator(model, rs.rate_function(model, scenario.graph)))
+        pi = rs.stationary_nullspace(rs.build_generator(model, rs.rate_function(model, scenario.degree)))
         rows = [(*model.space.state_at(idx), repr(float(p))) for idx, p in enumerate(pi.values)]
         [path] = cli._write_stationary(scenario, tmp_path, None, "stationary", None)
         assert path.read_bytes() == self.per_state_csv(("i", "j", "probability"), rows)
@@ -779,14 +792,10 @@ class TestModulesLoaded:
 
     @pytest.mark.parametrize("config", [LATTICE, REPO / "bench" / "configs" / "stationary_n100.yaml",
                                         REPO / "bench" / "configs" / "mc_n40.yaml",
-                                        REPO / "demos" / "configs" / "wellmixed.yaml"], ids=lambda p: p.name)
+                                        REPO / "demos" / "configs" / "wellmixed.yaml",
+                                        REPO / "demos" / "configs" / "heterogeneous.yaml"], ids=lambda p: p.name)
     def test_validate_config_runs_without_numpy(self, tmp_path, config):
         assert run_probe(tmp_path, "validate-config", config=config, block="numpy") == PARSER_MODULES
-
-    def test_heterogeneous_validate_config_loads_numpy_and_no_solver(self, tmp_path):
-        modules = run_probe(tmp_path, "validate-config", config=REPO / "demos" / "configs" / "heterogeneous.yaml")
-        assert "numpy" in modules  # a contact graph is held as arrays
-        assert {m for m in modules if m.split(".")[0] == "retrialsi"} == PARSER_MODULES
 
     def test_uniformization_loads_neither_inversion_nor_laplace(self, tmp_path):
         modules = run_probe(tmp_path, "solve", "--method", "uniformization", config=LATTICE)

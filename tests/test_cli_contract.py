@@ -9,9 +9,9 @@ fixed cases give uniformization a huge rate and a long grid of short
 intervals, which ``MAX_POISSON_MEAN`` bounds; others give the parser huge
 state counts, replica counts, grids and graph headers, which ``MAX_STATES``,
 ``MAX_REPLICAS``, ``MAX_GRID_ENTRIES`` and ``MAX_GRAPH_NODES`` bound.  A
-contact graph is held as its edges, so a heterogeneous model or ``table``
-within ``MAX_STATES`` loads its graph at once, and a ``table`` with no valid
-``(N, c)`` pair builds no fixture.
+contact graph is read to the tagged node's degree, so a heterogeneous model or
+``table`` within ``MAX_STATES`` loads its graph at once, and a ``table`` with
+no valid ``(N, c)`` pair builds no fixture.
 """
 
 import contextlib
@@ -214,7 +214,8 @@ def test_heterogeneous_sizes_within_max_states_validate_at_once(tmp_path, model,
 
 def test_heterogeneous_table_without_valid_pairs_builds_no_fixture(tmp_path, monkeypatch):
     path = write_config(tmp_path, {"N": 10, "c": 5}, {"table": {"N": [HUGE], "c": [HUGE]}}, 10)
-    monkeypatch.setattr(cli, "ring_with_hub", lambda n: pytest.fail(f"built ring_with_hub({n})"))
+    # validation lets an N without a valid pair lie outside ring_with_hub's domain, so it must not be evaluated
+    monkeypatch.setattr(cli, "ring_with_hub", lambda n, node: pytest.fail(f"built ring_with_hub({n})"))
     start = time.perf_counter()
     assert run(["table", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert time.perf_counter() - start < 1.0

@@ -72,7 +72,7 @@ class TestValidateGenerator:
             gen = rs.build_generator(cfg, rs.rate_function(cfg))
         else:
             cfg = het_config(N, c)
-            gen = rs.build_generator(cfg, rs.rate_function(cfg, rs.ring_with_hub(N)))
+            gen = rs.build_generator(cfg, rs.rate_function(cfg, rs.ring_with_hub(N, cfg.tagged_node)))
         report = rs.validate_generator(gen)
         assert report.ok, report.summary()
         assert report.max_abs_row_sum <= 1e-12

@@ -144,7 +144,7 @@ def sweep_cases():
                       mode="heterogeneous", tagged_node=2)
     cases = {"theta_0": make_gen(40, 20, theta=0.0)[1], "c_1": make_gen(40, 1)[1],
              "c_N-1": make_gen(40, 39)[1], "N_2": make_gen(2, 1)[1],
-             "ring_with_hub": rs.build_generator(het, rs.rate_function(het, rs.ring_with_hub(40)))}
+             "ring_with_hub": rs.build_generator(het, rs.rate_function(het, rs.ring_with_hub(40, 2)))}
     return [pytest.param(gen, id=name) for name, gen in cases.items()]
 
 

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 import retrialsi as rs
-from retrialsi import Closure, ContactGraph, ModelConfig, StateSpace
+from retrialsi import Closure, ModelConfig, StateSpace
 from retrialsi.errors import ConfigError, DomainError, GraphFormatError
 
 
-def star_graph(n):
-    return ContactGraph(n, [(0, v) for v in range(1, n)])
+def star(n):
+    """The edge list of the star on ``n`` nodes: node 0 joined to every other."""
+    return f"n {n}\n" + "".join(f"0 {v}\n" for v in range(1, n))
+
+
+def degrees(text, n):
+    """The degree of every node 0..n-1 of an edge-list document, one load_graph each."""
+    return [rs.load_graph(text, n, k) for k in range(n)]
 
 
 class TestStateSpace:
@@ -54,115 +60,106 @@ class TestStateSpace:
 
 
 class TestContactGraph:
+    """A graph document as load_graph reads it: the count of one node's distinct neighbours."""
+
     def test_degrees_path(self):
-        g = rs.load_graph("n 3\n0 1\n1 2")
-        assert g.degrees.tolist() == [1, 2, 1]
-        assert g.degree(1) == 2
-        assert g.degree(0) == 1
+        assert degrees("n 3\n0 1\n1 2", 3) == [1, 2, 1]
 
     def test_star_center(self):
-        g = star_graph(10)
-        assert g.degree(0) == 9
-        assert g.degree(3) == 1
+        assert rs.load_graph(star(10), 10, 0) == 9
+        assert rs.load_graph(star(10), 10, 3) == 1
 
     def test_degree_out_of_range(self):
-        g = star_graph(4)
-        with pytest.raises(DomainError):
-            g.degree(4)
+        for node in (4, -1):
+            with pytest.raises(DomainError):
+                rs.load_graph(star(4), 4, node)
 
-    def test_degree_sum_is_twice_edges(self):
-        for g in [star_graph(10), rs.ring_with_hub(10), rs.load_graph("n 3\n0 1\n1 2")]:
-            assert g.degrees.sum() == 2 * g.edge_count
+    def test_degree_sum_is_twice_edges(self, ring_with_hub_text):
+        for text, n, edges in [(star(10), 10, 9), (ring_with_hub_text(10), 10, 18),
+                               ("n 3\n0 1\n1 2", 3, 2), ("n 4\n0 1\n1 0\n2 3\n0 1", 4, 2)]:
+            assert sum(degrees(text, n)) == 2 * edges
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="self-loop"):
-            ContactGraph(3, [(0, 1), (2, 2)])
-        with pytest.raises(ConfigError, match="0..2"):
-            ContactGraph(3, [(0, 1), (1, 3)])
-        with pytest.raises(ConfigError, match="0..2"):
-            ContactGraph(3, [(-1, 1)])
-        with pytest.raises(ConfigError, match="pairs"):
-            ContactGraph(3, [(0, 1, 2)])
+        # every line is checked, also one that does not touch the node asked for
+        for text, match in [("n 4\n0 1\n2 2", "self-loop"), ("n 4\n0 1\n2 4", "0..3"),
+                            ("n 4\n0 1\n-1 2", "0..3"), ("n 4\n0 1\n2 3 1", "expected 'u v'"),
+                            ("n 4\n0 1\n2 x", "non-integer")]:
+            with pytest.raises(GraphFormatError, match=match) as err:
+                rs.load_graph(text, 4, 0)
+            assert err.value.line == 3
 
     @pytest.mark.parametrize("n", [-1, 0, 2.5, True])
     def test_node_count_must_be_a_positive_integer(self, n):
-        with pytest.raises(ConfigError, match="node count"):
-            ContactGraph(n, [])
+        with pytest.raises(GraphFormatError, match="node count") as err:
+            rs.load_graph(f"n {n}\n", 2, 0)
+        assert err.value.line == 1
 
     def test_reversed_and_duplicate_pairs_collapse(self):
-        g = ContactGraph(4, [(2, 1), (0, 3), (1, 2), (3, 0), (1, 2)])
-        assert g.edges.dtype == np.int64
-        assert g.edges.tolist() == [[0, 3], [1, 2]]
-        assert g.edge_count == 2
-        assert g.degrees.tolist() == [1, 1, 1, 1]
+        assert degrees("n 4\n2 1\n0 3\n1 2\n3 0\n1 2", 4) == [1, 1, 1, 1]
+        assert degrees("n 3\n0 1\n1 0\n1 2", 3) == [1, 2, 1]  # 1 0 after 0 1 counts once
 
     def test_isolated_node_has_degree_zero(self):
-        g = ContactGraph(4, [(0, 1)])
-        assert g.degree(3) == 0 and g.degrees.tolist() == [1, 1, 0, 0]
-        empty = ContactGraph(2, [])
-        assert empty.edges.shape == (0, 2) and empty.degrees.tolist() == [0, 0]
-
-    def test_leaves_caller_array_writable(self):
-        edges = np.array([[1, 0], [1, 2]])
-        g = ContactGraph(3, edges)
-        assert edges.flags.writeable
-        assert not g.edges.flags.writeable and not g.degrees.flags.writeable
-        edges[:] = 0
-        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert degrees("n 4\n0 1", 4) == [1, 1, 0, 0]
+        assert degrees("n 2\n", 2) == [0, 0]
 
 
 class TestLoadGraph:
     def test_duplicate_edge_collapses(self):
-        g = rs.load_graph("n 2\n0 1\n0 1")
-        assert g.degrees.tolist() == [1, 1]
-        assert g.edge_count == 1
+        assert degrees("n 2\n0 1\n0 1", 2) == [1, 1]
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError) as err:
-            rs.load_graph("n 2\n0 0")
+            rs.load_graph("n 2\n0 0", 2, 1)
         assert err.value.line == 2
 
     def test_node_id_out_of_range(self):
         with pytest.raises(GraphFormatError) as err:
-            rs.load_graph("n 2\n0 2")
+            rs.load_graph("n 2\n0 2", 2, 1)
         assert err.value.line == 2
 
     def test_malformed_line(self):
         with pytest.raises(GraphFormatError):
-            rs.load_graph("n 3\n0 1 2")
+            rs.load_graph("n 3\n0 1 2", 3, 0)
         with pytest.raises(GraphFormatError):
-            rs.load_graph("n 3\nzero one")
+            rs.load_graph("n 3\nzero one", 3, 0)
 
     def test_missing_header(self):
         with pytest.raises(GraphFormatError):
-            rs.load_graph("0 1\n1 2")
+            rs.load_graph("0 1\n1 2", 3, 0)
         with pytest.raises(GraphFormatError):
-            rs.load_graph("")
+            rs.load_graph("", 3, 0)
 
     def test_comments_and_blanks_ignored(self):
-        g = rs.load_graph("# path\nn 3\n\n0 1\n1 2\n")
-        assert g.degrees.tolist() == [1, 2, 1]
+        assert degrees("# path\nn 3\n\n0 1\n1 2\n", 3) == [1, 2, 1]
 
-    def test_roundtrip(self):
-        g = rs.ring_with_hub(10)
-        again = rs.load_graph(rs.graph_to_text(g))
-        assert again.n == g.n and np.array_equal(g.edges, again.edges)
+    def test_roundtrip(self, ring_with_hub_text):
+        # the fixture's degree formula is the degree of its written edge list
+        for n in (4, 10):
+            assert degrees(ring_with_hub_text(n), n) == [rs.ring_with_hub(n, k) for k in range(n)]
+
+    def test_line_numbers_past_the_first_chunk(self, ring_with_hub_text):
+        # a large document is read a chunk at a time; lines are still numbered as splitlines numbers them
+        text = ring_with_hub_text(20_000).replace("\n", "\r\n") + "\r\n# end\r5 5\r\n"
+        with pytest.raises(GraphFormatError, match="self-loop") as err:
+            rs.load_graph(text, 20_000, 2)
+        assert err.value.line == len(text.splitlines())
 
     @pytest.mark.parametrize("n", [10, 20, 40])
-    def test_shipped_fixtures_are_the_writer_output(self, n):
+    def test_shipped_fixtures_are_the_writer_output(self, n, ring_with_hub_text):
         path = Path(__file__).resolve().parents[1] / "graphs" / f"ring_hub_{n}.txt"
-        assert path.read_bytes() == rs.graph_to_text(rs.ring_with_hub(n)).encode()
+        assert path.read_bytes() == ring_with_hub_text(n).encode()
 
 
 class TestRingWithHub:
     def test_degrees(self):
-        g = rs.ring_with_hub(10)
-        assert g.degree(0) == 9
-        assert all(g.degree(k) == 3 for k in range(1, 10))
+        assert rs.ring_with_hub(10, 0) == 9
+        assert all(rs.ring_with_hub(10, k) == 3 for k in range(1, 10))
 
     def test_too_small(self):
         with pytest.raises(ConfigError):
-            rs.ring_with_hub(3)
+            rs.ring_with_hub(3, 1)
+        with pytest.raises(DomainError):
+            rs.ring_with_hub(10, 10)
 
 
 class TestModelConfig:
@@ -187,9 +184,9 @@ class TestModelConfig:
             ModelConfig(**kwargs)
 
 
-def rate_at(cfg, i, j, graph=None):
+def rate_at(cfg, i, j, degree=None):
     """The arrival rate at state (i, j), read from the array rate_function returns."""
-    return rs.rate_function(cfg, graph)[cfg.space.index(i, j)]
+    return rs.rate_function(cfg, degree)[cfg.space.index(i, j)]
 
 
 class TestHomogeneousRate:
@@ -214,39 +211,40 @@ class TestHeterogeneousRate:
     def test_star_center_no_infected(self):
         # external term only: (alpha * 9/10) * (10/10) = 4.5
         cfg = self.het_config(0)
-        assert rate_at(cfg, 0, 0, star_graph(10)) == pytest.approx(4.5)
+        assert rate_at(cfg, 0, 0, rs.load_graph(star(10), 10, 0)) == pytest.approx(4.5)
 
     def test_full_neighbor_adds_degree_pressure(self):
         cfg = self.het_config(0, Closure.FULL_NEIGHBOR)
         # neighbor sum d_k^2 / N = 81 / 10 on top of the external 4.5
-        assert rate_at(cfg, 0, 0, star_graph(10)) == pytest.approx(4.5 + 8.1)
+        assert rate_at(cfg, 0, 0, rs.load_graph(star(10), 10, 0)) == pytest.approx(4.5 + 8.1)
 
     def test_everyone_infected_keeps_neighbor_term(self):
         cfg = self.het_config(0)
-        got = rate_at(cfg, 5, 5, star_graph(10))
+        got = rate_at(cfg, 5, 5, rs.load_graph(star(10), 10, 0))
         assert got == pytest.approx(81.0 / 10.0)  # external term vanished
 
     def test_isolated_node_rate_zero(self):
         cfg = self.het_config(0)
-        assert rate_at(cfg, 2, 3, ContactGraph(10, [(1, 2)])) == 0.0
+        assert rate_at(cfg, 2, 3, rs.load_graph("n 10\n1 2", 10, 0)) == 0.0
 
     def test_full_neighbor_dominates_mean_field(self):
-        graph = rs.ring_with_hub(10)
-        full = rs.rate_function(self.het_config(2, Closure.FULL_NEIGHBOR), graph)
-        mean = rs.rate_function(self.het_config(2, Closure.MEAN_FIELD), graph)
+        degree = rs.ring_with_hub(10, 2)
+        full = rs.rate_function(self.het_config(2, Closure.FULL_NEIGHBOR), degree)
+        mean = rs.rate_function(self.het_config(2, Closure.MEAN_FIELD), degree)
         assert np.all(full >= mean)
 
     def test_config_errors(self):
-        with pytest.raises(ConfigError):
-            rs.rate_function(self.het_config(12), star_graph(10))  # k out of range
-        with pytest.raises(ConfigError):
-            rs.rate_function(self.het_config(0), star_graph(8))  # size mismatch
+        with pytest.raises(ConfigError, match="tagged_node"):
+            rs.rate_function(self.het_config(12), 3)  # k out of range
+        for degree in (10, -1):  # a degree outside 0..N-1
+            with pytest.raises(ConfigError, match="degree"):
+                rs.rate_function(self.het_config(0), degree)
 
 
 def test_rate_function_dispatch(wellmixed_config):
     assert rate_at(wellmixed_config, 0, 0) == 5.0
     het_cfg = ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0,
                           mode="heterogeneous", tagged_node=2)
-    assert rate_at(het_cfg, 0, 0, rs.ring_with_hub(10)) == pytest.approx(5.0 * 3 / 10)
+    assert rate_at(het_cfg, 0, 0, rs.ring_with_hub(10, 2)) == pytest.approx(5.0 * 3 / 10)
     with pytest.raises(ConfigError):
-        rs.rate_function(het_cfg)  # graph missing
+        rs.rate_function(het_cfg)  # degree missing

@@ -21,11 +21,10 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None, dera
 
 @st.composite
 def models(draw, max_n=30, thetas=st.one_of(st.just(0.0), RATES)):
-    """(config, contact graph) with N <= max_n; the graph is used in heterogeneous mode."""
+    """(config, tagged node's degree) with N <= max_n; the degree is used in heterogeneous mode."""
     N = draw(st.integers(2, max_n))
     c = draw(st.integers(1, N - 1))
-    edges = draw(st.sets(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
-                         .filter(lambda e: e[0] < e[1]), max_size=3 * N))
+    degree = draw(st.integers(0, N - 1))
     heterogeneous = draw(st.booleans())
     cfg = rs.ModelConfig(
         N=N, c=c, alpha=draw(RATES), mu=draw(RATES),
@@ -35,15 +34,14 @@ def models(draw, max_n=30, thetas=st.one_of(st.just(0.0), RATES)):
         closure=draw(st.sampled_from(list(rs.Closure))),
         initial_state=(draw(st.integers(0, c)), draw(st.integers(0, N - c))),
     )
-    return cfg, rs.ContactGraph(N, sorted(edges))
+    return cfg, degree
 
 
-def paper_arrival_rate(cfg, graph, i, j):
+def paper_arrival_rate(cfg, d, i, j):
     """The paper's arrival rate at one state (i, j), written out as the reference for rate_function."""
     N = cfg.N
     if cfg.mode is rs.Mode.HOMOGENEOUS:
         return cfg.alpha * (N - i - j) / N
-    d = graph.degree(cfg.tagged_node)
     neighbor = d * d / N
     if cfg.closure is rs.Closure.MEAN_FIELD:
         neighbor *= (i + j) / N
@@ -55,22 +53,22 @@ RING_MODEL = dict(N=10, c=4, alpha=5.0, mu=0.4, theta=2.0, initial_state=(1, 2))
 
 @PROPERTY_SETTINGS
 @given(models())
-@example((rs.ModelConfig(**RING_MODEL), rs.ring_with_hub(10)))
-@example((rs.ModelConfig(**RING_MODEL, mode="heterogeneous", tagged_node=2), rs.ring_with_hub(10)))
+@example((rs.ModelConfig(**RING_MODEL), None))
+@example((rs.ModelConfig(**RING_MODEL, mode="heterogeneous", tagged_node=2), rs.ring_with_hub(10, 2)))
 @example((rs.ModelConfig(**RING_MODEL, mode="heterogeneous", tagged_node=0,
-                         closure=rs.Closure.FULL_NEIGHBOR), rs.ring_with_hub(10)))
+                         closure=rs.Closure.FULL_NEIGHBOR), rs.ring_with_hub(10, 0)))
 def test_rate_function_is_the_per_state_formula(model):
     # every rate bit for bit, in state-index order, for both modes and both closures
-    cfg, graph = model
-    want = [paper_arrival_rate(cfg, graph, i, j) for i, j in cfg.space.states()]
-    assert np.array_equal(rs.rate_function(cfg, graph), want)
+    cfg, degree = model
+    want = [paper_arrival_rate(cfg, degree, i, j) for i, j in cfg.space.states()]
+    assert np.array_equal(rs.rate_function(cfg, degree), want)
 
 
 @PROPERTY_SETTINGS
 @given(models(), st.floats(0.0, 2.0))
 def test_generator_simulator_and_oracle_agree(model, t):
-    cfg, graph = model
-    arrival = rs.rate_function(cfg, graph)
+    cfg, degree = model
+    arrival = rs.rate_function(cfg, degree)
     gen = rs.build_generator(cfg, arrival)
     report = rs.validate_generator(gen)
     assert report.ok and report.stencil_checked, report.summary()
@@ -97,7 +95,24 @@ def test_generator_simulator_and_oracle_agree(model, t):
     p0 = rs.delta_vector(cfg.space, cfg.initial_state)
     assert abs(rs.uniformize(gen, p0, t).total - 1.0) <= 1e-12
 
-    assert np.array_equal(rs.load_graph(rs.graph_to_text(graph)).edges, graph.edges)
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges, node): up to 3n edges of a graph on n nodes, repeated and reversed at will."""
+    n = draw(st.integers(2, 30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=n)) if edges else []  # repeats
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]  # reversals
+    return n, draw(st.permutations(edges)), draw(st.integers(0, n - 1))
+
+
+@PROPERTY_SETTINGS
+@given(graph=edge_lists())
+def test_load_graph_counts_distinct_neighbours(graph, graph_text):
+    n, edges, node = graph
+    neighbours = {v for u, v in edges if u == node} | {u for u, v in edges if v == node}
+    assert rs.load_graph(graph_text(n, edges), n, node) == len(neighbours)
 
 
 @PROPERTY_SETTINGS
@@ -106,8 +121,8 @@ def test_generator_simulator_and_oracle_agree(model, t):
 def test_grid_equals_chained_uniformize(model, times, start):
     # one stepping loop: a grid is the chain of its intervals, bit for bit; a vector's stamp is
     # start + t_k, as the inversion's is, not the chain's running sum of interval lengths
-    cfg, graph = model
-    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    cfg, degree = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, degree))
     previous = rs.ProbabilityVector(rs.delta_vector(cfg.space, cfg.initial_state).values, start, cfg.space)
     sol = rs.transient_grid(gen, previous, times)
     for vector, t, before in zip(sol.vectors, times, [0.0, *times]):
@@ -130,19 +145,19 @@ BOX_MODEL = dict(N=30, c=20, alpha=1.0, mu=0.4, theta=2.0)
 @PROPERTY_SETTINGS
 @given(models(max_n=60), st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3, unique=True).map(sorted),
        st.sampled_from([1e-10, 1e-6]))
-@example((rs.ModelConfig(**BOX_MODEL, initial_state=(2, 3)), rs.ring_with_hub(30)), [0.1, 0.2], 1e-10)
+@example((rs.ModelConfig(**BOX_MODEL, initial_state=(2, 3)), None), [0.1, 0.2], 1e-10)
 @example((rs.ModelConfig(**BOX_MODEL, mode="heterogeneous", tagged_node=2, initial_state=(1, 0)),
-          rs.ring_with_hub(30)), [0.0, 0.5], 1e-6)
-@example((rs.ModelConfig(**BOX_MODEL), rs.ring_with_hub(30)), [0.0], 1e-10)
-@example((rs.ModelConfig(**BOX_MODEL, initial_state=(4, 6)), rs.ring_with_hub(30)), [0.0], 1e-6)
+          rs.ring_with_hub(30, 2)), [0.0, 0.5], 1e-6)
+@example((rs.ModelConfig(**BOX_MODEL), None), [0.0], 1e-10)
+@example((rs.ModelConfig(**BOX_MODEL, initial_state=(4, 6)), None), [0.0], 1e-6)
 def test_projected_uniformization_agrees_with_the_full_lattice(model, times, eps):
     # The CLI's solve on the reachable box keeps the whole lattice's bound in total variation: eps
     # per interval stepped, as the box's tail is spent once for the grid and each interval is truncated
     # at eps - tail.  The box chain moves only as the full chain does, at the same rates: an arrival
     # that would leave the box is blocked, not sent to another state.
-    cfg, graph = model
-    sol = cli._solve_grid(cfg, graph, cli.SolverSettings(method="uniformization", eps=eps), times)
-    arrival = rs.rate_function(cfg, graph)
+    cfg, degree = model
+    sol = cli._solve_grid(cfg, degree, cli.SolverSettings(method="uniformization", eps=eps), times)
+    arrival = rs.rate_function(cfg, degree)
     gen = rs.build_generator(cfg, arrival)
     full = rs.transient_grid(gen, rs.delta_vector(cfg.space, cfg.initial_state), times, eps=1e-15)
     for intervals, projected, whole in zip(np.cumsum(np.array(times) > 0), sol.vectors, full.vectors):
@@ -163,8 +178,8 @@ def test_projected_uniformization_agrees_with_the_full_lattice(model, times, eps
 @PROPERTY_SETTINGS
 @given(models(), st.integers(0, 2 ** 32 - 1))
 def test_uniformization_step_matches_scipy(step_matches_scipy, model, seed):
-    cfg, graph = model
-    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    cfg, degree = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, degree))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(gen.dim)  # signs and signed zeros too, not only a distribution
     v[rng.random(gen.dim) < 0.2] = -0.0
@@ -175,8 +190,8 @@ def test_uniformization_step_matches_scipy(step_matches_scipy, model, seed):
 @given(models(), st.integers(0, 2 ** 32 - 1))
 def test_diagonal_product_matches_scipy(product_matches_scipy, model, seed):
     # the lattice stencil has five offsets at most: +-(N - c + 1), N - c, 1 and the diagonal
-    cfg, graph = model
-    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    cfg, degree = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, degree))
     for arrays in (gen.csr, gen.matrix_extended):
         assert len(arrays.diagonals()) <= 5
         product_matches_scipy(arrays, seed)
@@ -193,8 +208,8 @@ def scipy_assembly(cfg, arrival):
     return q, (off_ext - diags(off_ext @ np.ones(n, dtype=np.longdouble))).tocsr()
 
 
-def assert_assembly_matches_scipy(cfg, graph):
-    arrival = rs.rate_function(cfg, graph)
+def assert_assembly_matches_scipy(cfg, degree):
+    arrival = rs.rate_function(cfg, degree)
     gen = rs.build_generator(cfg, arrival)
     for arrays, reference in zip((gen.csr, gen.matrix_extended), scipy_assembly(cfg, arrival)):
         for got, want in zip(arrays, (reference.data, reference.indices, reference.indptr)):
@@ -219,9 +234,9 @@ def retrying_model(model):
 
     A tagged node without neighbours sees no arrivals, which makes (0, 0) absorbing.
     """
-    cfg, graph = model
-    assume(cfg.mode is rs.Mode.HOMOGENEOUS or graph.degree(cfg.tagged_node) > 0)
-    return cfg, rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    cfg, degree = model
+    assume(cfg.mode is rs.Mode.HOMOGENEOUS or degree > 0)
+    return cfg, rs.build_generator(cfg, rs.rate_function(cfg, degree))
 
 
 @PROPERTY_SETTINGS
@@ -261,7 +276,7 @@ def covered(N, c, theta, tagged_node=None):
     """A model the generated ones may miss: c = 1 or N - 1, theta = 0, or contacts on ring_with_hub(N)."""
     mode = "homogeneous" if tagged_node is None else "heterogeneous"
     cfg = rs.ModelConfig(N=N, c=c, alpha=5.0, mu=0.4, theta=theta, mode=mode, tagged_node=tagged_node)
-    return cfg, rs.ring_with_hub(N)
+    return cfg, None if tagged_node is None else rs.ring_with_hub(N, tagged_node)
 
 
 @PROPERTY_SETTINGS
@@ -274,8 +289,8 @@ def covered(N, c, theta, tagged_node=None):
 def test_stationary_matches_sparse_lu(model, splu_stationary):
     # the level sweep at s = 0, or the closed-segment rule, against the former
     # sparse-LU solve; both reject the same chains with the same message
-    cfg, graph = model
-    gen = rs.build_generator(cfg, rs.rate_function(cfg, graph))
+    cfg, degree = model
+    gen = rs.build_generator(cfg, rs.rate_function(cfg, degree))
     try:
         expected = splu_stationary(gen)
     except rs.ModelError as exc:
@@ -288,8 +303,8 @@ def test_stationary_matches_sparse_lu(model, splu_stationary):
 @PROPERTY_SETTINGS
 @given(models(), st.sampled_from(["none", "negate", "shift", "off_stencil"]), st.data())
 def test_sweep_refuses_exactly_what_validation_fails(model, perturbation, data):
-    cfg, graph = model
-    q = rs.build_generator(cfg, rs.rate_function(cfg, graph)).toarray()
+    cfg, degree = model
+    q = rs.build_generator(cfg, rs.rate_function(cfg, degree)).toarray()
     off = ~np.eye(len(q), dtype=bool)
     if perturbation == "negate":  # one off-diagonal rate
         r, k = data.draw(st.sampled_from(list(zip(*np.nonzero(off & (q != 0))))))

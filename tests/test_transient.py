@@ -324,7 +324,7 @@ def _reference_models():
     cases = {name: (cfg, rs.rate_function(cfg)) for name, cfg in homogeneous.items()}
     het = ModelConfig(N=10, c=5, alpha=5.0, mu=0.4, theta=2.0, mode="heterogeneous",
                       tagged_node=2)
-    cases["ring_with_hub"] = (het, rs.rate_function(het, rs.ring_with_hub(10)))
+    cases["ring_with_hub"] = (het, rs.rate_function(het, rs.ring_with_hub(10, 2)))
     for theta in (0.0, 1.0):  # no arrivals: every path ends in an absorbing state
         cfg = ModelConfig(N=10, c=3, alpha=5.0, mu=0.4, theta=theta, initial_state=(2, 4))
         cases[f"absorbing_theta{theta:g}"] = (cfg, np.zeros(cfg.space.size))
